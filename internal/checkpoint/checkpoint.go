@@ -14,9 +14,8 @@
 // a fault to one section; the whole-file SHA-256 catches anything the CRCs
 // miss (including section-boundary splices). Read distinguishes its failure
 // modes with typed errors — truncation, bit damage, version skew, and
-// machine-shape mismatch are different operational events (retry the
-// previous generation vs. upgrade the binary vs. fix the caller), and the
-// Ring's fallback logic keys off them.
+// machine-shape mismatch are different operational events (fall back to an
+// older checkpoint vs. upgrade the binary vs. fix the caller).
 //
 // Checkpoints capture state at instruction boundaries only: the machine
 // must be quiescent (no instruction mid-flight, no uncommitted speculative

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"singlespec/internal/checkpoint"
@@ -342,141 +340,6 @@ func TestApplyMismatch(t *testing.T) {
 	var me *checkpoint.MismatchError
 	if err := checkpoint.Apply(st, m); !errors.As(err, &me) {
 		t.Fatalf("err = %v, want MismatchError", err)
-	}
-}
-
-// TestRingSaveRestoreAndBound checks the generation ring: atomic saves,
-// the generation bound, and newest-first restore.
-func TestRingSaveRestoreAndBound(t *testing.T) {
-	i := isatest.Load(t, "alpha64")
-	sim, err := core.Synthesize(i.Spec, "one_min", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newSimRun(t, i, sim, true)
-	ring, err := checkpoint.NewRing(filepath.Join(t.TempDir(), "ring"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastInstret uint64
-	for g := 0; g < 5; g++ {
-		r.x.Run(200)
-		lastInstret = r.m.Instret
-		if _, err := ring.Save(checkpoint.Capture(r.m)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gens, err := ring.Generations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) != 3 {
-		t.Fatalf("ring holds %d generations, want 3", len(gens))
-	}
-	st, rep, err := ring.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Skipped) != 0 {
-		t.Errorf("clean ring skipped generations: %v", rep.Skipped)
-	}
-	if st.Instret != lastInstret {
-		t.Errorf("restored instret %d, want newest %d", st.Instret, lastInstret)
-	}
-}
-
-// TestRingFallbackOnCorruption is the faultinj-driven torn-write/bit-rot
-// test: the newest on-disk generation is damaged at seeded-random offsets
-// and the ring must detect the damage (typed error in the report) and fall
-// back to the previous good generation — never return corrupt state.
-func TestRingFallbackOnCorruption(t *testing.T) {
-	i := isatest.Load(t, "alpha64")
-	sim, err := core.Synthesize(i.Spec, "one_min", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := faultinj.NewRNG(0x5eed, 7)
-	for trial := 0; trial < 24; trial++ {
-		dir := filepath.Join(t.TempDir(), "ring")
-		ring, err := checkpoint.NewRing(dir, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := newSimRun(t, i, sim, true)
-		r.x.Run(300)
-		goodInstret := r.m.Instret
-		if _, err := ring.Save(checkpoint.Capture(r.m)); err != nil {
-			t.Fatal(err)
-		}
-		r.x.Run(300)
-		newest, err := ring.Save(checkpoint.Capture(r.m))
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Damage the newest generation on disk: a truncation (torn write
-		// that bypassed the rename protocol, e.g. a bad backup copy) or a
-		// seeded bit flip anywhere in the file.
-		raw, err := os.ReadFile(newest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if trial%3 == 0 {
-			raw = raw[:rng.Intn(len(raw)-1)+1]
-		} else {
-			raw[rng.Intn(len(raw))] ^= byte(1 << uint(rng.Intn(8)))
-		}
-		if err := os.WriteFile(newest, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-
-		st, rep, err := ring.Restore()
-		if err != nil {
-			t.Fatalf("trial %d: restore failed outright: %v", trial, err)
-		}
-		if len(rep.Skipped) != 1 || rep.Skipped[0].Path != newest {
-			t.Fatalf("trial %d: damaged generation not skipped: %+v", trial, rep)
-		}
-		if rep.Skipped[0].Err == nil || !isTypedCheckpointError(rep.Skipped[0].Err) {
-			t.Fatalf("trial %d: skip reason not typed: %v", trial, rep.Skipped[0].Err)
-		}
-		if st.Instret != goodInstret {
-			t.Fatalf("trial %d: silent divergence: restored instret %d, want fallback %d",
-				trial, st.Instret, goodInstret)
-		}
-	}
-}
-
-// TestRingAllGenerationsBad corrupts every generation: Restore must return
-// a NoGoodGenerationError listing each rejected file.
-func TestRingAllGenerationsBad(t *testing.T) {
-	i := isatest.Load(t, "alpha64")
-	sim, err := core.Synthesize(i.Spec, "one_min", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := checkpoint.NewRing(filepath.Join(t.TempDir(), "ring"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newSimRun(t, i, sim, true)
-	for g := 0; g < 2; g++ {
-		r.x.Run(100)
-		path, err := ring.Save(checkpoint.Capture(r.m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := os.ReadFile(path)
-		raw[len(raw)/3] ^= 0x40
-		os.WriteFile(path, raw, 0o644)
-	}
-	_, _, err = ring.Restore()
-	var nge *checkpoint.NoGoodGenerationError
-	if !errors.As(err, &nge) {
-		t.Fatalf("err = %v, want NoGoodGenerationError", err)
-	}
-	if len(nge.Skipped) != 2 {
-		t.Errorf("error lists %d skipped generations, want 2", len(nge.Skipped))
 	}
 }
 

@@ -45,10 +45,12 @@ type BenchCell struct {
 	Error        string  `json:"error,omitempty"`
 }
 
-// NewBenchOut assembles the benchmark document from a sweep's cells,
+// WriteBenchJSON writes the benchmark document of a sweep's cells to path,
 // preserving cell order (TableII's order is deterministic: buildset-major
-// over the spec's declaration order).
-func NewBenchOut(cfg Config, cells []Cell) BenchOut {
+// over the spec's declaration order). The file is indented with a trailing
+// newline, and atomic enough for CI consumption: a partial file is never
+// left behind on encode error because encoding happens before the write.
+func WriteBenchJSON(path string, cfg Config, cells []Cell) error {
 	out := BenchOut{
 		Schema: BenchSchema,
 		Metric: cfg.Metric.String(),
@@ -71,14 +73,7 @@ func NewBenchOut(cfg Config, cells []Cell) BenchOut {
 		}
 		out.Cells = append(out.Cells, bc)
 	}
-	return out
-}
-
-// WriteBenchJSON writes the benchmark document to path (indented, trailing
-// newline) atomically enough for CI consumption: a partial file is never
-// left behind on encode error because encoding happens before the write.
-func WriteBenchJSON(path string, cfg Config, cells []Cell) error {
-	data, err := json.MarshalIndent(NewBenchOut(cfg, cells), "", "  ")
+	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return fmt.Errorf("expt: encode bench json: %w", err)
 	}

@@ -121,14 +121,6 @@ type Config struct {
 	// protocol (aot.ErrNoPlugin), counting aot.plugin.fallback. Results are
 	// identical either way; only transport cost differs.
 	AOTPlugin bool
-	// OnCell, when non-nil, is called once per resolved sweep cell as it
-	// lands — computed, journal-restored, or error-marked — with the
-	// cell's stable job key. The serve daemon streams per-cell results
-	// through it. Calls arrive concurrently from sweep workers (and, on
-	// the fabric coordinator, may hold internal locks), so the callback
-	// must be safe for concurrent use, fast, and must not call back into
-	// the engine. It observes results; it cannot change them.
-	OnCell func(key string, c Cell)
 	// Obs, when non-nil, receives the sweep's aggregate counters and
 	// histograms: translation-cache traffic, syscall activity, watchdog
 	// checks, and per-cell outcomes. Aggregation is commutative atomic
@@ -217,14 +209,10 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
 			for idx := range idxCh {
 				j := jobs[idx]
 				// Resume: a cell the journal already holds is reloaded, not
-				// recomputed. Restored cells still fire OnCell: a streaming
-				// consumer of a resumed sweep sees every cell land.
+				// recomputed.
 				if cfg.Journal != nil {
 					if c, ok := cfg.Journal.Lookup(j.key()); ok {
 						results[idx] = c
-						if cfg.OnCell != nil {
-							cfg.OnCell(j.key(), c)
-						}
 						continue
 					}
 				}
@@ -234,9 +222,6 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
 						Backend: j.backend.cellTag(),
 						Err: &CellError{ISA: j.progs.ISA.Name, Buildset: j.buildset,
 							Kind: CellInterrupted, Err: errInterrupted}}
-					if cfg.OnCell != nil {
-						cfg.OnCell(j.key(), results[idx])
-					}
 					continue
 				}
 				wait := time.Since(start)
@@ -247,9 +232,6 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
 					// Journal errors must not fail the sweep; the cell's
 					// result stands either way, only durability is lost.
 					_ = cfg.Journal.Record(j.key(), c)
-				}
-				if cfg.OnCell != nil {
-					cfg.OnCell(j.key(), c)
 				}
 			}
 		}()

@@ -235,12 +235,7 @@ func (w *progressWire) validate(nKernels int) error {
 // journal's record payload format — the representation fabric workers send
 // to the coordinator and segment files store.
 func EncodeCellWire(key string, c Cell) ([]byte, error) {
-	r := journalRecord{Type: "cell", Key: key, Status: "ok", Cell: toCellData(c)}
-	if c.Err != nil {
-		r.Status = c.Err.Kind.String()
-		r.ErrMsg = c.Err.Err.Error()
-	}
-	return json.Marshal(r)
+	return json.Marshal(cellRecord(key, c))
 }
 
 // DecodeCellWire decodes an EncodeCellWire payload. The returned cell is
@@ -254,9 +249,7 @@ func DecodeCellWire(b []byte) (string, Cell, error) {
 	if r.Type != "cell" || r.Cell == nil || r.Key == "" {
 		return "", Cell{}, fmt.Errorf("expt: cell wire record: not a keyed cell record")
 	}
-	c := r.Cell.toCell(r.Status, r.ErrMsg)
-	c.Restored = false
-	return r.Key, c, nil
+	return r.Key, r.cell(), nil
 }
 
 // RecordCells merges the deterministic counters of a merged fabric sweep

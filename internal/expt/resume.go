@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,34 +70,43 @@ type cellData struct {
 	Stats        CellStats `json:"stats"`
 }
 
-func toCellData(c Cell) *cellData {
-	return &cellData{
+// cellRecord builds the record of one completed cell — the payload the run
+// journal, worker segments and the fabric wire all carry.
+func cellRecord(key string, c Cell) journalRecord {
+	r := journalRecord{Type: "cell", Key: key, Status: "ok", Cell: &cellData{
 		ISA: c.ISA, Buildset: c.Buildset, Backend: c.Backend,
 		MIPS: c.MIPS, NsPerInstr: c.NsPerInstr, WorkPerInstr: c.WorkPerInstr,
 		Instret: c.Instret, WorkUnits: c.WorkUnits,
 		Attempts: c.Attempts, WallNS: int64(c.Wall),
 		Stats: c.Stats,
+	}}
+	if c.Err != nil {
+		r.Status = c.Err.Kind.String()
+		r.ErrMsg = c.Err.Err.Error()
 	}
+	return r
 }
 
-func (d *cellData) toCell(status, errMsg string) Cell {
+// cell rebuilds the Cell a cellRecord carries, marked computed (not
+// Restored).
+func (r journalRecord) cell() Cell {
+	d := r.Cell
 	c := Cell{
 		ISA: d.ISA, Buildset: d.Buildset, Backend: d.Backend,
 		MIPS: d.MIPS, NsPerInstr: d.NsPerInstr, WorkPerInstr: d.WorkPerInstr,
 		Instret: d.Instret, WorkUnits: d.WorkUnits,
 		Attempts: d.Attempts, Wall: time.Duration(d.WallNS),
-		Stats:    d.Stats,
-		Restored: true,
+		Stats: d.Stats,
 	}
-	if status != "ok" {
+	if r.Status != "ok" {
 		kind := CellFailed
 		for _, k := range []CellErrorKind{CellPanic, CellTimeout, CellBudget, CellInterrupted, CellLost} {
-			if status == k.String() {
+			if r.Status == k.String() {
 				kind = k
 			}
 		}
 		c.Err = &CellError{ISA: d.ISA, Buildset: d.Buildset, Kind: kind,
-			Err: fmt.Errorf("%s (restored from journal)", errMsg), Attempts: d.Attempts}
+			Err: fmt.Errorf("%s (restored from journal)", r.ErrMsg), Attempts: d.Attempts}
 	}
 	return c
 }
@@ -137,12 +147,109 @@ func (e *CorruptJournalError) Error() string {
 	return fmt.Sprintf("expt: journal %s corrupt at offset %d: %s", e.Path, e.Offset, e.Reason)
 }
 
+// recordFile is an open journal or segment file. Records are appended
+// whole and fsynced one at a time, under mu.
+type recordFile struct {
+	mu sync.Mutex
+	f  *os.File
+}
+
+// open opens (creating if needed) the file at path, drops everything past
+// off — a torn tail, or a previous run's segment — and durably appends the
+// lineage header hdr. The directories it creates, and a newly created file,
+// have their parent directory fsynced too, so the file itself survives a
+// crash.
+func (l *recordFile) open(path string, off int64, hdr journalRecord) error {
+	dir := filepath.Dir(path)
+	if err := mkdirSynced(dir); err != nil {
+		return err
+	}
+	_, statErr := os.Stat(path)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	l.f = f
+	err = f.Truncate(off)
+	if err == nil {
+		_, err = f.Seek(off, io.SeekStart)
+	}
+	if err == nil {
+		err = l.append(hdr)
+	}
+	if err == nil && os.IsNotExist(statErr) {
+		err = syncDir(dir)
+	}
+	if err != nil {
+		f.Close()
+	}
+	return err
+}
+
+// mkdirSynced is os.MkdirAll that also fsyncs the parent of every
+// directory it creates.
+func mkdirSynced(dir string) error {
+	var created []string
+	for d := dir; filepath.Dir(d) != d; d = filepath.Dir(d) {
+		if _, err := os.Stat(d); !os.IsNotExist(err) {
+			break
+		}
+		created = append(created, d)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, d := range created {
+		if err := syncDir(filepath.Dir(d)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making an entry just created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// append frames one record — u32-LE payload length, u32-LE CRC-32 of the
+// payload, JSON payload — and durably appends it.
+func (l *recordFile) append(r journalRecord) error {
+	payload, err := json.Marshal(r)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 8+len(payload))
+	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
+	copy(buf[8:], payload)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, err := l.f.Write(buf); err != nil {
+		return err
+	}
+	return l.f.Sync()
+}
+
+// Close closes the file.
+func (l *recordFile) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.f.Close()
+}
+
 // RunJournal is the append-only completion journal of one sweep directory.
 // It is safe for concurrent use by the sweep's workers.
 type RunJournal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	recordFile
 
 	runID       string
 	parentRunID string
@@ -163,11 +270,8 @@ type RunJournal struct {
 // lineage header is then appended recording runID with the previous run as
 // parent.
 func OpenJournal(dir, runID, fingerprint string, resume bool) (*RunJournal, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	path := filepath.Join(dir, JournalName)
-	j := &RunJournal{path: path, runID: runID, cells: map[string]journalRecord{}}
+	j := &RunJournal{runID: runID, cells: map[string]journalRecord{}}
 
 	data, err := os.ReadFile(path)
 	exists := err == nil && len(data) > 0
@@ -203,24 +307,9 @@ func OpenJournal(dir, runID, fingerprint string, resume bool) (*RunJournal, erro
 		}
 	}
 
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	// Drop the torn tail, if any, before appending past it.
-	if err := f.Truncate(goodLen); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(goodLen, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	j.f = f
-	if err := j.append(journalRecord{
+	if err := j.open(path, goodLen, journalRecord{
 		Type: "run", RunID: runID, ParentRunID: j.parentRunID, Fingerprint: fingerprint,
 	}); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return j, nil
@@ -229,7 +318,9 @@ func OpenJournal(dir, runID, fingerprint string, resume bool) (*RunJournal, erro
 // parseJournal walks the record stream, returning the records and the byte
 // length of the valid prefix. A damaged or incomplete FINAL record is
 // tolerated (torn append) and excluded from the valid prefix; damage with
-// further data after it is a *CorruptJournalError.
+// further data after it is a *CorruptJournalError. The length field is
+// outside the CRC, so a record that claims to run past EOF is only taken
+// for the torn final append when no intact record starts after its header.
 func parseJournal(path string, data []byte) ([]journalRecord, int64, error) {
 	var recs []journalRecord
 	off := 0
@@ -242,6 +333,10 @@ func parseJournal(path string, data []byte) ([]journalRecord, int64, error) {
 		if length > maxJournalRecord || off+8+length > len(data) {
 			// Claimed extent runs past EOF (or is garbage exceeding it):
 			// only tolerable as the final, torn append.
+			if intactRecordFrom(data, off+8) {
+				return nil, 0, &CorruptJournalError{Path: path, Offset: int64(off),
+					Reason: "record length runs past EOF with an intact record after it"}
+			}
 			break
 		}
 		payload := data[off+8 : off+8+length]
@@ -266,23 +361,20 @@ func parseJournal(path string, data []byte) ([]journalRecord, int64, error) {
 	return recs, int64(off), nil
 }
 
-// append encodes and durably appends one record (caller holds no lock;
-// append takes it).
-func (j *RunJournal) append(r journalRecord) error {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return err
+// intactRecordFrom reports whether a whole record — length in bounds, CRC
+// and JSON valid — starts at any offset from off on.
+func intactRecordFrom(data []byte, off int) bool {
+	for ; off+8 <= len(data); off++ {
+		length := int(binary.LittleEndian.Uint32(data[off:]))
+		if length > maxJournalRecord || off+8+length > len(data) {
+			continue
+		}
+		payload := data[off+8 : off+8+length]
+		if crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(data[off+4:]) && json.Valid(payload) {
+			return true
+		}
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(buf); err != nil {
-		return err
-	}
-	return j.f.Sync()
+	return false
 }
 
 // Lookup returns the journaled result for a cell key, if a previous run
@@ -294,25 +386,16 @@ func (j *RunJournal) Lookup(key string) (Cell, bool) {
 	if !ok || r.Cell == nil {
 		return Cell{}, false
 	}
-	return r.Cell.toCell(r.Status, r.ErrMsg), true
+	c := r.cell()
+	c.Restored = true
+	return c, true
 }
 
 // Record journals one completed cell. Only deterministic outcomes belong
 // here (ok, failed, budget); transient outcomes (panic, timeout,
 // interrupted) are the caller's to re-run.
 func (j *RunJournal) Record(key string, c Cell) error {
-	r := journalRecord{Type: "cell", Key: key, Status: "ok", Cell: toCellData(c)}
-	if c.Err != nil {
-		r.Status = c.Err.Kind.String()
-		r.ErrMsg = c.Err.Err.Error()
-	}
-	if err := j.append(r); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.cells[key] = r
-	j.mu.Unlock()
-	return nil
+	return j.record(cellRecord(key, c))
 }
 
 // RecordRaw journals one completed cell whose payload another package
@@ -320,12 +403,16 @@ func (j *RunJournal) Record(key string, c Cell) error {
 // bytes survive intact. Like Record, only deterministic outcomes belong
 // here.
 func (j *RunJournal) RecordRaw(key string, raw []byte) error {
-	r := journalRecord{Type: "raw", Key: key, Raw: json.RawMessage(raw)}
+	return j.record(journalRecord{Type: "raw", Key: key, Raw: json.RawMessage(raw)})
+}
+
+// record durably appends r and makes it visible to Lookup.
+func (j *RunJournal) record(r journalRecord) error {
 	if err := j.append(r); err != nil {
 		return err
 	}
 	j.mu.Lock()
-	j.cells[key] = r
+	j.cells[r.Key] = r
 	j.mu.Unlock()
 	return nil
 }
@@ -350,13 +437,6 @@ func (j *RunJournal) ParentRunID() string { return j.parentRunID }
 // Restored returns the number of cells loaded from previous runs.
 func (j *RunJournal) Restored() int { return len(j.restoredKeys) }
 
-// Close closes the journal file.
-func (j *RunJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
-
 // ---- worker segment files ----
 //
 // A fabric coordinator persists every result a worker delivers into a
@@ -375,27 +455,15 @@ type KeyedCell struct {
 }
 
 // Segment is an append-only per-worker completion journal.
-type Segment struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-}
+type Segment struct{ recordFile }
 
 // CreateSegment creates (truncating any previous file) a segment stamped
 // with a lineage header carrying the worker id and the run's config
 // fingerprint; LoadSegment verifies the fingerprint so a stale segment
 // from an old run can never be merged into a new one.
 func CreateSegment(path, workerID, fingerprint string) (*Segment, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	s := &Segment{f: f, path: path}
-	if err := s.append(journalRecord{Type: "run", RunID: workerID, Fingerprint: fingerprint}); err != nil {
-		f.Close()
+	s := &Segment{}
+	if err := s.open(path, 0, journalRecord{Type: "run", RunID: workerID, Fingerprint: fingerprint}); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -403,12 +471,7 @@ func CreateSegment(path, workerID, fingerprint string) (*Segment, error) {
 
 // Append durably appends one completed cell.
 func (s *Segment) Append(key string, c Cell) error {
-	r := journalRecord{Type: "cell", Key: key, Status: "ok", Cell: toCellData(c)}
-	if c.Err != nil {
-		r.Status = c.Err.Kind.String()
-		r.ErrMsg = c.Err.Err.Error()
-	}
-	return s.append(r)
+	return s.append(cellRecord(key, c))
 }
 
 // AppendRaw durably appends one completed cell in another package's own
@@ -417,64 +480,21 @@ func (s *Segment) AppendRaw(key string, raw []byte) error {
 	return s.append(journalRecord{Type: "raw", Key: key, Raw: json.RawMessage(raw)})
 }
 
-func (s *Segment) append(r journalRecord) error {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.f.Write(buf); err != nil {
-		return err
-	}
-	return s.f.Sync()
-}
-
-// Close closes the segment file.
-func (s *Segment) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.f.Close()
-}
-
 // LoadSegment reads a segment file back: its fingerprint header must match
 // fingerprint (a mismatched segment is a stale worker's and is refused with
 // *FingerprintMismatchError), a torn final record is dropped, and mid-file
 // corruption returns the parser's *CorruptJournalError with the damage
 // offset. Cells come back marked computed (not Restored).
 func LoadSegment(path, fingerprint string) ([]KeyedCell, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	recs, _, err := parseJournal(path, data)
+	recs, err := loadSegment(path, fingerprint, "cell")
 	if err != nil {
 		return nil, err
 	}
 	var out []KeyedCell
-	sawHeader := false
 	for _, r := range recs {
-		switch r.Type {
-		case "run":
-			sawHeader = true
-			if r.Fingerprint != fingerprint {
-				return nil, &FingerprintMismatchError{Path: path, Got: r.Fingerprint, Want: fingerprint}
-			}
-		case "cell":
-			if r.Cell == nil {
-				continue
-			}
-			c := r.Cell.toCell(r.Status, r.ErrMsg)
-			c.Restored = false
-			out = append(out, KeyedCell{Key: r.Key, Cell: c})
+		if r.Cell != nil {
+			out = append(out, KeyedCell{Key: r.Key, Cell: r.cell()})
 		}
-	}
-	if !sawHeader {
-		return nil, &CorruptJournalError{Path: path, Offset: 0, Reason: "segment has no lineage header"}
 	}
 	return out, nil
 }
@@ -488,6 +508,22 @@ type KeyedRaw struct {
 // LoadSegmentRaw reads a segment of raw-payload records back with the same
 // header/fingerprint/torn-tail/corruption semantics as LoadSegment.
 func LoadSegmentRaw(path, fingerprint string) ([]KeyedRaw, error) {
+	recs, err := loadSegment(path, fingerprint, "raw")
+	if err != nil {
+		return nil, err
+	}
+	var out []KeyedRaw
+	for _, r := range recs {
+		if len(r.Raw) != 0 {
+			out = append(out, KeyedRaw{Key: r.Key, Raw: append([]byte(nil), r.Raw...)})
+		}
+	}
+	return out, nil
+}
+
+// loadSegment parses a segment file, checks its lineage header against
+// fingerprint, and returns its records of type typ.
+func loadSegment(path, fingerprint, typ string) ([]journalRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -496,7 +532,7 @@ func LoadSegmentRaw(path, fingerprint string) ([]KeyedRaw, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []KeyedRaw
+	var out []journalRecord
 	sawHeader := false
 	for _, r := range recs {
 		switch r.Type {
@@ -505,11 +541,8 @@ func LoadSegmentRaw(path, fingerprint string) ([]KeyedRaw, error) {
 			if r.Fingerprint != fingerprint {
 				return nil, &FingerprintMismatchError{Path: path, Got: r.Fingerprint, Want: fingerprint}
 			}
-		case "raw":
-			if len(r.Raw) == 0 {
-				continue
-			}
-			out = append(out, KeyedRaw{Key: r.Key, Raw: append([]byte(nil), r.Raw...)})
+		case typ:
+			out = append(out, r)
 		}
 	}
 	if !sawHeader {

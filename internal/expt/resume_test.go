@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -50,10 +51,11 @@ func assertCellsEqualDeterministic(t *testing.T, want, got []Cell) {
 	}
 }
 
-// TestJournalRoundTrip writes cells to a journal, reopens it in resume
-// mode, and checks the cells reload with lineage intact.
+// TestJournalRoundTrip writes cells to a journal in a directory it has to
+// create, reopens it in resume mode, and checks the cells reload with
+// lineage intact.
 func TestJournalRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "runs", "run1")
 	j, err := OpenJournal(dir, "run-1", testFP, false)
 	if err != nil {
 		t.Fatal(err)
@@ -182,33 +184,60 @@ func TestJournalTornTailDropped(t *testing.T) {
 // records after it: that is not a torn append, and resume must refuse with
 // a typed error instead of quietly dropping completed work.
 func TestJournalMidFileCorruptionRefused(t *testing.T) {
-	dir := t.TempDir()
-	j, err := OpenJournal(dir, "run-1", testFP, false)
-	if err != nil {
-		t.Fatal(err)
+	// Records: header, k1, k2. Each case damages k1 (the second record),
+	// leaving k2 intact after it.
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, data []byte, k1Off int)
+	}{
+		{"payload byte", func(t *testing.T, data []byte, k1Off int) {
+			data[k1Off+8+4] ^= 0x20
+			// Keep the framing parseable: only the payload is damaged, so
+			// the CRC check is what must catch it.
+			if crc32.ChecksumIEEE(data[k1Off+8:k1Off+8+int(binary.LittleEndian.Uint32(data[k1Off:]))]) ==
+				binary.LittleEndian.Uint32(data[k1Off+4:]) {
+				t.Fatal("test bug: flip did not change the CRC")
+			}
+		}},
+		{"length bit", func(t *testing.T, data []byte, k1Off int) {
+			// The length field is outside the CRC. One flipped bit makes k1
+			// claim to run past EOF, like a torn final append, yet k2 still
+			// follows intact: dropping the "tail" would discard both.
+			data[k1Off+2] ^= 0x01
+			if k1Off+8+int(binary.LittleEndian.Uint32(data[k1Off:])) <= len(data) {
+				t.Fatal("test bug: flipped length still ends inside the file")
+			}
+		}},
 	}
-	j.Record("k1", Cell{ISA: "alpha64", Buildset: "one_min", Instret: 10})
-	j.Record("k2", Cell{ISA: "alpha64", Buildset: "block_min", Instret: 20})
-	j.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := OpenJournal(dir, "run-1", testFP, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Record("k1", Cell{ISA: "alpha64", Buildset: "one_min", Instret: 10})
+			j.Record("k2", Cell{ISA: "alpha64", Buildset: "block_min", Instret: 20})
+			j.Close()
 
-	path := filepath.Join(dir, JournalName)
-	data, _ := os.ReadFile(path)
-	// Records: header, k1, k2. Flip one payload byte inside k1 (the second
-	// record), leaving k2 intact after it.
-	hdrLen := int(binary.LittleEndian.Uint32(data))
-	k1Off := 8 + hdrLen
-	data[k1Off+8+4] ^= 0x20
-	// Keep the framing parseable: only the payload is damaged, so the CRC
-	// check is what must catch it.
-	if crc32.ChecksumIEEE(data[k1Off+8:k1Off+8+int(binary.LittleEndian.Uint32(data[k1Off:]))]) ==
-		binary.LittleEndian.Uint32(data[k1Off+4:]) {
-		t.Fatal("test bug: flip did not change the CRC")
-	}
-	os.WriteFile(path, data, 0o644)
+			path := filepath.Join(dir, JournalName)
+			data, _ := os.ReadFile(path)
+			k1Off := 8 + int(binary.LittleEndian.Uint32(data))
+			tc.damage(t, data, k1Off)
+			os.WriteFile(path, data, 0o644)
 
-	var ce *CorruptJournalError
-	if _, err := OpenJournal(dir, "run-2", testFP, true); !errors.As(err, &ce) {
-		t.Fatalf("mid-file corruption: err = %v, want CorruptJournalError", err)
+			var ce *CorruptJournalError
+			if _, err := OpenJournal(dir, "run-2", testFP, true); !errors.As(err, &ce) {
+				t.Fatalf("mid-file corruption: err = %v, want CorruptJournalError", err)
+			}
+			if ce.Offset != int64(k1Off) {
+				t.Errorf("corruption offset = %d, want %d (record k1)", ce.Offset, k1Off)
+			}
+			// A refused journal is left exactly as found.
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+				t.Errorf("refused journal modified: %d bytes, was %d", len(after), len(data))
+			}
+		})
 	}
 }
 

@@ -27,11 +27,10 @@ type CampaignConfig struct {
 	// fabric's parallelism is its worker fleet. Campaign.Obs receives the
 	// fabric counters and (at merge) the campaign's per-class counters.
 	Campaign faultinj.Config
-	// LeaseTTL, MaxCellTries, SegmentDir, RunID, Log: as Config.
+	// LeaseTTL, MaxCellTries, SegmentDir, Log: as Config.
 	LeaseTTL     time.Duration
 	MaxCellTries int
 	SegmentDir   string
-	RunID        string
 	Log          func(format string, args ...any)
 	// Journal, when non-nil, makes the campaign durable: deterministic cell
 	// outcomes (ok, diverged, error) are recorded as raw records, and
@@ -50,16 +49,6 @@ type CampaignConfig struct {
 type CampaignCoordinator struct {
 	core *coordCore
 	cfg  CampaignConfig
-}
-
-// ServeCampaign runs a distributed fault campaign to completion and
-// returns the merged report.
-func ServeCampaign(cfg CampaignConfig) (*faultinj.Report, error) {
-	c, err := NewCampaignCoordinator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return c.Wait()
 }
 
 // NewCampaignCoordinator starts a campaign coordinator (listener and lease
@@ -149,7 +138,7 @@ func NewCampaignCoordinator(cfg CampaignConfig) (*CampaignCoordinator, error) {
 	}
 	core, err := newCore(coreConfig{
 		addr: cfg.Addr, leaseTTL: cfg.LeaseTTL, maxTries: cfg.MaxCellTries,
-		segDir: cfg.SegmentDir, runID: cfg.RunID, log: cfg.Log,
+		segDir: cfg.SegmentDir, log: cfg.Log,
 	}, wl)
 	if err != nil {
 		return nil, err

@@ -34,8 +34,6 @@ type Config struct {
 	// SegmentDir is where per-worker result segments are written (and
 	// re-read at merge); empty uses a per-run temporary directory.
 	SegmentDir string
-	// RunID stamps segment lineage headers; empty derives one from the pid.
-	RunID string
 	// Log, when non-nil, receives one-line progress events (worker joins,
 	// takeovers, refusals) for the operator console.
 	Log func(format string, args ...any)
@@ -117,7 +115,7 @@ type workload struct {
 	lost        func(u workUnit, tries int, holder, why string) any
 	interrupted func(u workUnit, tries int) any
 	// resolve, when non-nil, streams every resolution (delivered, restored,
-	// lost, interrupted) in completion order — the OnCell hook.
+	// lost, interrupted) in completion order — CampaignConfig.OnCell.
 	resolve func(key string, val any)
 }
 
@@ -127,7 +125,6 @@ type coreConfig struct {
 	leaseTTL time.Duration
 	maxTries int
 	segDir   string
-	runID    string
 	log      func(format string, args ...any)
 }
 
@@ -209,24 +206,9 @@ type Coordinator struct {
 	cfg  Config
 }
 
-// Serve runs a fabric sweep to completion: listen, lease, reclaim, merge.
-// It returns the merged cells in deterministic TableIIJobSpecs order —
-// byte-identical (in every deterministic field) to a single-host sweep of
-// the same configuration, for any worker count, placement, or mid-sweep
-// worker death. It blocks until every cell is resolved (or the sweep is
-// interrupted), then shuts the fleet down.
-func Serve(cfg Config) ([]expt.Cell, error) {
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return c.Wait()
-}
-
 // NewCoordinator starts the coordinator (listener and lease scanner) and
-// returns immediately; Wait blocks for the merged result. Split from Serve
-// so tests and embedders can learn the listen address before joining
-// workers.
+// returns immediately, so callers can learn the listen address before
+// joining workers; Wait blocks for the merged result.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	sw := cfg.Sweep
 	fp := Fingerprint(sw)
@@ -303,12 +285,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 		wl.journal = func(key string, v any) { _ = j.Record(key, v.(expt.Cell)) }
 	}
-	if fn := sw.OnCell; fn != nil {
-		wl.resolve = func(key string, v any) { fn(key, v.(expt.Cell)) }
-	}
 	core, err := newCore(coreConfig{
 		addr: cfg.Addr, leaseTTL: cfg.LeaseTTL, maxTries: cfg.MaxCellTries,
-		segDir: cfg.SegmentDir, runID: cfg.RunID, log: cfg.Log,
+		segDir: cfg.SegmentDir, log: cfg.Log,
 	}, wl)
 	if err != nil {
 		return nil, err
@@ -323,7 +302,10 @@ var errSweepInterrupted = fmt.Errorf("sweep interrupted")
 func (c *Coordinator) Addr() string { return c.core.addr() }
 
 // Wait blocks until the sweep resolves (or is interrupted), shuts the fleet
-// down, and merges the per-worker segments into the final cell slice.
+// down, and merges the per-worker segments into the final cell slice, in
+// deterministic TableIIJobSpecs order — byte-identical (in every
+// deterministic field) to a single-host sweep of the same configuration,
+// for any worker count, placement, or mid-sweep worker death.
 func (c *Coordinator) Wait() ([]expt.Cell, error) {
 	vals, err := c.core.wait()
 	if err != nil {
@@ -350,9 +332,6 @@ func newCore(cc coreConfig, wl *workload) (*coordCore, error) {
 	}
 	if cc.maxTries <= 0 {
 		cc.maxTries = DefaultMaxCellTries
-	}
-	if cc.runID == "" {
-		cc.runID = fmt.Sprintf("fabric-%d", os.Getpid())
 	}
 	c := &coordCore{
 		cc:      cc,
@@ -538,7 +517,7 @@ func (c *coordCore) handleConn(conn net.Conn) {
 		c.wl.reg.Counter("fabric.worker.joined").Inc()
 	}
 	c.logf("fabric: worker %s joined", w.id)
-	if err := c.send(w, &frame{Type: frameWelcome, RunID: c.cc.runID}); err != nil {
+	if err := c.send(w, &frame{Type: frameWelcome, RunID: fmt.Sprintf("fabric-%d", os.Getpid())}); err != nil {
 		c.dropWorker(w)
 		return
 	}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -437,30 +438,42 @@ func TestMergeRefusesCorruptSegment(t *testing.T) {
 		t.Fatalf("merged %d cells, want 5", len(merged))
 	}
 
-	// Corrupt one byte in the middle of worker-b's segment (inside the
-	// first cell record's payload, well before the final record).
-	data, err := os.ReadFile(pathB)
+	// Corrupt worker-b's segment well before the final record: one byte in
+	// the middle (inside the first cell record's payload), or one bit of
+	// that record's length field, which lies outside the CRC and makes the
+	// record claim to run past EOF like a torn final append.
+	clean, err := os.ReadFile(pathB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/3] ^= 0xff
-	if err := os.WriteFile(pathB, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = MergeSegments(map[string]string{"worker-a": pathA, "worker-b": pathB}, fp)
-	var segErr *SegmentError
-	if !errors.As(err, &segErr) {
-		t.Fatalf("corrupt segment: want *SegmentError, got %v", err)
-	}
-	if segErr.Worker != "worker-b" {
-		t.Errorf("SegmentError names worker %q, want worker-b", segErr.Worker)
-	}
-	var corrupt *expt.CorruptJournalError
-	if !errors.As(err, &corrupt) {
-		t.Fatalf("SegmentError should unwrap to *expt.CorruptJournalError, got %v", err)
-	}
-	if corrupt.Offset <= 0 {
-		t.Errorf("corruption offset = %d, want > 0 (damage is mid-file)", corrupt.Offset)
+	firstCell := 8 + int(binary.LittleEndian.Uint32(clean))
+	for _, tc := range []struct {
+		name   string
+		damage func(data []byte)
+	}{
+		{"payload byte", func(data []byte) { data[len(data)/3] ^= 0xff }},
+		{"length bit", func(data []byte) { data[firstCell+2] ^= 0x01 }},
+	} {
+		data := append([]byte(nil), clean...)
+		tc.damage(data)
+		if err := os.WriteFile(pathB, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = MergeSegments(map[string]string{"worker-a": pathA, "worker-b": pathB}, fp)
+		var segErr *SegmentError
+		if !errors.As(err, &segErr) {
+			t.Fatalf("%s: corrupt segment: want *SegmentError, got %v", tc.name, err)
+		}
+		if segErr.Worker != "worker-b" {
+			t.Errorf("%s: SegmentError names worker %q, want worker-b", tc.name, segErr.Worker)
+		}
+		var corrupt *expt.CorruptJournalError
+		if !errors.As(err, &corrupt) {
+			t.Fatalf("%s: SegmentError should unwrap to *expt.CorruptJournalError, got %v", tc.name, err)
+		}
+		if corrupt.Offset <= 0 {
+			t.Errorf("%s: corruption offset = %d, want > 0 (damage is mid-file)", tc.name, corrupt.Offset)
+		}
 	}
 
 	// A torn tail on worker-a (partial final append) merges minus the torn

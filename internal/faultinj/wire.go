@@ -2,9 +2,9 @@ package faultinj
 
 // Wire form for campaign cell results. Fabric workers ship finished cells
 // to the coordinator, durable segments persist them across coordinator
-// restarts, and the service daemon journals them per cell — all through
-// this one codec, so a Result round-trips byte-identically into the
-// report no matter which path carried it.
+// restarts, and the run journal records them per cell — all through this
+// one codec, so a Result round-trips byte-identically into the report no
+// matter which path carried it.
 
 import (
 	"bytes"
@@ -15,9 +15,9 @@ import (
 	"strings"
 )
 
-// InterruptedError marks a cell that was wound down mid-campaign (daemon
-// eviction, coordinator shutdown). It is transient: a resumed campaign
-// re-runs the cell rather than reporting it failed.
+// InterruptedError marks a cell that was wound down mid-campaign by a
+// coordinator shutdown. It is transient: a resumed campaign re-runs the
+// cell rather than reporting it failed.
 type InterruptedError struct {
 	Key string
 }
