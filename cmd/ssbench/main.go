@@ -17,27 +17,15 @@
 //	ssbench -table 2 -backend both              # interpreter vs. AOT runner parity sweep
 //	ssbench -resume-dir run1 -table 2           # durable sweep (journal)
 //	ssbench -resume-dir run1 -resume -table 2   # continue a killed sweep
-//	ssbench -table 2 -serve-fabric :7707        # distributed-sweep coordinator
-//	ssbench -join host:7707 -table 2            # fabric worker (same sweep flags)
-//	ssbench -faults 42 -serve-fabric :7707      # distributed-campaign coordinator
-//	ssbench -faults 42 -join host:7707          # campaign worker (same fault flags)
 //	ssbench -pprof localhost:6060               # live profiling endpoint
 //
 // A durable sweep interrupted by SIGINT/SIGTERM winds down cleanly (cells
 // stop at the next watchdog check, the journal and manifest are flushed)
 // and exits 130/143; rerunning with -resume reloads the completed cells
 // and computes only the rest.
-//
-// With -serve-fabric the Table II sweep's cells are leased to workers
-// (started with -join and the same sweep flags — a config fingerprint
-// refuses mismatched workers, exit 3), heartbeat-monitored, and taken over
-// mid-kernel from the last progress snapshot when a worker dies. The
-// merged output is byte-identical to a single-host run in every
-// deterministic field; see "Distributed sweep fabric" in EXPERIMENTS.md.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -51,10 +39,8 @@ import (
 	"time"
 
 	"singlespec/internal/expt"
-	"singlespec/internal/fabric"
 	"singlespec/internal/faultinj"
 	"singlespec/internal/obs"
-	"singlespec/internal/stats"
 )
 
 // Exit codes for a signal-interrupted run, per shell convention (128+N).
@@ -83,13 +69,6 @@ func main() {
 	aotCache := flag.String("aot-cache", "", "directory caching compiled AOT runner binaries (keyed by source hash); empty uses a per-run temporary cache")
 	aotPlugin := flag.Bool("aot-plugin", false, "load AOT runners in process via the Go plugin transport where the toolchain supports it, falling back to subprocess runners where it does not (results identical; see EXPERIMENTS.md)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
-	serveFabric := flag.String("serve-fabric", "", "run the Table II sweep as a fabric coordinator listening on this address (e.g. 127.0.0.1:7707); workers join with -join (see EXPERIMENTS.md)")
-	join := flag.String("join", "", "run as a fabric worker joining the coordinator at this address; sweep flags (-scale, -metric, -backend, ...) must match the coordinator's or the worker is refused")
-	workerID := flag.String("worker-id", "", "fabric worker id (-join mode); empty derives one from hostname and pid")
-	leaseTTL := flag.Duration("lease-ttl", 0, "fabric lease validity without a heartbeat before the coordinator re-leases the cell to another worker (0 = 10s default)")
-	segmentDir := flag.String("segment-dir", "", "fabric coordinator: directory for per-worker result segments (empty = per-run temp dir)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base delay of the exponential seeded-jitter backoff between cell retries (0 = 25ms default, negative disables)")
-	retrySeed := flag.Uint64("retry-seed", 0, "seed for the deterministic retry/reconnect jitter (a host knob: never affects cell results)")
 	flag.Parse()
 
 	// Signal handling: the first SIGINT/SIGTERM asks the sweep to wind down
@@ -143,14 +122,6 @@ func main() {
 			"aot-cache":    *aotCache,
 			"aot-plugin":   strconv.FormatBool(*aotPlugin),
 		}
-		if *serveFabric != "" {
-			man.Flags["serve-fabric"] = *serveFabric
-			man.Flags["lease-ttl"] = leaseTTL.String()
-		}
-		if *join != "" {
-			man.Flags["join"] = *join
-			man.Flags["worker-id"] = *workerID
-		}
 	}
 	// writeManifest flushes the manifest before any exit path; the snapshot
 	// is taken here, after all instrumented work has quiesced.
@@ -170,14 +141,9 @@ func main() {
 		if *resumeDir != "" {
 			fatal(fmt.Errorf("-resume-dir applies to table sweeps, not fault campaigns"))
 		}
-		if *join != "" && *serveFabric != "" {
-			fatal(fmt.Errorf("-join and -serve-fabric are mutually exclusive"))
-		}
 		runFaultCampaign(faultCampaignOpts{
 			seed: uint64(*faultSeed), events: *faultEvents, classSpec: *faultClasses,
-			workers: *parallel, serveFabric: *serveFabric, join: *join,
-			workerID: *workerID, leaseTTL: *leaseTTL, segmentDir: *segmentDir,
-			interrupt: interrupt, sigExit: &sigExit,
+			workers: *parallel, sigExit: &sigExit,
 			reg: reg, man: man, writeManifest: writeManifest,
 		})
 		return
@@ -193,41 +159,7 @@ func main() {
 	}
 	cfg := expt.Config{Scale: *scale, MinDur: *dur, Workers: *parallel, Metric: metric,
 		CellTimeout: *cellTimeout, Obs: reg, CkptEvery: *ckptEvery, Interrupt: interrupt,
-		Backend: backend, AOTCacheDir: *aotCache, AOTPlugin: *aotPlugin,
-		RetryBackoff: *retryBackoff, RetrySeed: *retrySeed}
-
-	// Fabric worker mode: join a coordinator and serve leases until the
-	// sweep completes. The worker prints no tables — results flow to the
-	// coordinator, which renders the identical output a single-host run
-	// would. Exit 0 on clean shutdown, 3 when refused (stale worker), 1 on
-	// other errors.
-	if *join != "" {
-		if *serveFabric != "" {
-			fatal(fmt.Errorf("-join and -serve-fabric are mutually exclusive"))
-		}
-		logf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ssbench: "+format+"\n", args...)
-		}
-		err := fabric.RunWorker(fabric.WorkerConfig{
-			Addr: *join, ID: *workerID, Sweep: cfg, Log: logf,
-		})
-		writeManifest()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssbench:", err)
-			var refused *fabric.RefusedError
-			if errors.As(err, &refused) {
-				os.Exit(3)
-			}
-			os.Exit(1)
-		}
-		if code := sigExit.Load(); code != 0 {
-			os.Exit(int(code))
-		}
-		return
-	}
-	if *serveFabric != "" && *table != 2 {
-		fatal(fmt.Errorf("-serve-fabric distributes the Table II sweep; run it with -table 2"))
-	}
+		Backend: backend, AOTCacheDir: *aotCache, AOTPlugin: *aotPlugin}
 
 	// Durability: the run journal records each completed cell as it
 	// finishes; a rerun with -resume reloads them. The fingerprint refuses
@@ -240,7 +172,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer journal.Close()
 		cfg.Journal = journal
 		if man != nil {
 			man.RunID = runID
@@ -267,39 +198,9 @@ func main() {
 			fmt.Println("## Table II — Simulation speed (MIPS, geometric mean over the kernel mix)")
 		}
 		fmt.Println()
-		var cells []expt.Cell
-		var t2 *stats.Table
-		if *serveFabric != "" {
-			// Fabric coordinator: the sweep's cells are measured by joined
-			// workers (leased, heartbeated, taken over on death) and merged
-			// back here; everything after this point — rendering, bench
-			// output, manifest — is the same code path as a local sweep, so
-			// the artifacts are byte-identical in every deterministic field.
-			logf := func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "ssbench: "+format+"\n", args...)
-			}
-			coord, err := fabric.NewCoordinator(fabric.Config{
-				Addr: *serveFabric, Sweep: cfg, LeaseTTL: *leaseTTL,
-				SegmentDir: *segmentDir, Log: logf,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "ssbench: fabric coordinator listening on %s\n", coord.Addr())
-			cells, err = coord.Wait()
-			if err != nil {
-				fatal(err)
-			}
-			if man != nil {
-				man.Fabric = coord.Snapshot()
-			}
-			t2 = expt.RenderTableII(cfg, cells)
-		} else {
-			var err error
-			cells, t2, err = expt.TableII(cfg)
-			if err != nil {
-				fatal(err)
-			}
+		cells, t2, err := expt.TableII(cfg)
+		if err != nil {
+			fatal(err)
 		}
 		allCells = append(allCells, cells...)
 		if man != nil {
@@ -353,10 +254,17 @@ func main() {
 	if man != nil {
 		man.CellsRestored, man.CellsComputed = expt.SweepCounts(allCells)
 	}
+	// The journal keeps its first write error; a sweep whose journal
+	// stopped recording must not exit 0, or a later -resume would silently
+	// recompute the lost cells.
+	var journalErr error
 	if journal != nil {
-		journal.Close()
+		journalErr = journal.Close()
 	}
 	writeManifest()
+	if journalErr != nil {
+		fatal(fmt.Errorf("run journal: %w", journalErr))
+	}
 	if code := sigExit.Load(); code != 0 {
 		fmt.Fprintln(os.Stderr, "ssbench: interrupted; journal and manifest flushed, rerun with -resume to continue")
 		os.Exit(int(code))
@@ -379,20 +287,13 @@ func reportCellErrors(cells []expt.Cell) {
 	}
 }
 
-// faultCampaignOpts carries the campaign's flag surface: local run, fabric
-// coordinator (-serve-fabric), or fabric worker (-join).
+// faultCampaignOpts carries the campaign's flag surface.
 type faultCampaignOpts struct {
-	seed        uint64
-	events      int
-	classSpec   string
-	workers     int
-	serveFabric string
-	join        string
-	workerID    string
-	leaseTTL    time.Duration
-	segmentDir  string
-	interrupt   <-chan struct{}
-	sigExit     *atomic.Int32
+	seed      uint64
+	events    int
+	classSpec string
+	workers   int
+	sigExit   *atomic.Int32
 
 	reg           *obs.Registry
 	man           *obs.Manifest
@@ -402,9 +303,7 @@ type faultCampaignOpts struct {
 // runFaultCampaign runs the deterministic fault-injection campaign and
 // exits nonzero if any cell diverged or errored. The manifest (when
 // requested) is written before any exit, so failed campaigns still leave
-// their metrics behind. With -serve-fabric the campaign's cells are leased
-// to -join workers and the merged report is byte-identical to the local
-// run; the worker side prints nothing and exits 3 when refused.
+// their metrics behind.
 func runFaultCampaign(o faultCampaignOpts) {
 	classes, err := faultinj.ParseClasses(o.classSpec)
 	if err != nil {
@@ -414,53 +313,9 @@ func runFaultCampaign(o faultCampaignOpts) {
 		Seed: o.seed, Events: o.events, Workers: o.workers, Classes: classes, Obs: o.reg,
 	}
 
-	if o.join != "" {
-		logf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ssbench: "+format+"\n", args...)
-		}
-		err := fabric.RunCampaignWorker(fabric.CampaignWorkerConfig{
-			Addr: o.join, ID: o.workerID, Campaign: cfg, Log: logf,
-		})
-		o.writeManifest()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ssbench:", err)
-			var refused *fabric.RefusedError
-			if errors.As(err, &refused) {
-				os.Exit(3)
-			}
-			os.Exit(1)
-		}
-		if code := o.sigExit.Load(); code != 0 {
-			os.Exit(int(code))
-		}
-		return
-	}
-
-	var rep *faultinj.Report
-	if o.serveFabric != "" {
-		logf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "ssbench: "+format+"\n", args...)
-		}
-		coord, err := fabric.NewCampaignCoordinator(fabric.CampaignConfig{
-			Addr: o.serveFabric, Campaign: cfg, LeaseTTL: o.leaseTTL,
-			SegmentDir: o.segmentDir, Log: logf, Interrupt: o.interrupt,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "ssbench: campaign coordinator listening on %s\n", coord.Addr())
-		rep, err = coord.Wait()
-		if err != nil {
-			fatal(err)
-		}
-		if o.man != nil {
-			o.man.Fabric = coord.Snapshot()
-		}
-	} else {
-		rep, err = faultinj.Run(cfg)
-		if err != nil {
-			fatal(err)
-		}
+	rep, err := faultinj.Run(cfg)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Println("## Fault-injection campaign")
 	fmt.Println()

@@ -365,14 +365,14 @@ func validRecords(nVis int) []byte {
 
 func validFinal() []byte {
 	p := []byte{'F', 1}
-	p = binary.LittleEndian.AppendUint64(p, 42)          // exit code
-	p = append(p, 3, 0)                                  // fault, kind
-	p = binary.LittleEndian.AppendUint64(p, 0x10040)     // pc
-	p = binary.LittleEndian.AppendUint64(p, 1234)        // instret
-	p = binary.LittleEndian.AppendUint64(p, 99999)       // elapsed
-	p = binary.LittleEndian.AppendUint32(p, 0xabad1dea)  // result
-	p = binary.LittleEndian.AppendUint32(p, 1)           // spaces
-	p = binary.LittleEndian.AppendUint32(p, 2)           // count
+	p = binary.LittleEndian.AppendUint64(p, 42)         // exit code
+	p = append(p, 3, 0)                                 // fault, kind
+	p = binary.LittleEndian.AppendUint64(p, 0x10040)    // pc
+	p = binary.LittleEndian.AppendUint64(p, 1234)       // instret
+	p = binary.LittleEndian.AppendUint64(p, 99999)      // elapsed
+	p = binary.LittleEndian.AppendUint32(p, 0xabad1dea) // result
+	p = binary.LittleEndian.AppendUint32(p, 1)          // spaces
+	p = binary.LittleEndian.AppendUint32(p, 2)          // count
 	p = binary.LittleEndian.AppendUint64(p, 7)
 	p = binary.LittleEndian.AppendUint64(p, 8)
 	p = binary.LittleEndian.AppendUint32(p, 3) // stdout

@@ -58,17 +58,17 @@ type ProfEntry struct {
 
 // FinalState is the runner's end-of-run report.
 type FinalState struct {
-	Halted    bool
-	ExitCode  int64
-	Fault     mach.Fault
-	FaultKind uint8 // 0 decoded final attempt, 1 fetch fault, 2 undecodable
-	PC        uint64
-	Instret   uint64
-	ElapsedNs uint64
+	Halted     bool
+	ExitCode   int64
+	Fault      mach.Fault
+	FaultKind  uint8 // 0 decoded final attempt, 1 fetch fault, 2 undecodable
+	PC         uint64
+	Instret    uint64
+	ElapsedNs  uint64
 	ResultWord uint32
-	Spaces    [][]uint64
-	Stdout    []byte
-	Profile   []ProfEntry
+	Spaces     [][]uint64
+	Stdout     []byte
+	Profile    []ProfEntry
 }
 
 // RunResult is everything one 'R' command produced.

@@ -12,16 +12,16 @@ import (
 // kind. The formulas are the closure engine's own accounting, read through
 // the core workmodel accessors, so the metric has exactly one definition:
 //
-//   One   decoded attempt: translated-unit work + publish
-//         (NoTranslate ablation: dynamic-unit work + publish)
-//   Block decoded attempt: translated-unit work, + publish only when the
-//         buildset emits per-instruction records
-//   Step  decoded attempt: (dynamic-unit work - 2) + (2E-1) publishes —
-//         E per-entrypoint publishes plus E-1 record imports, where the
-//         -2 drops the per-unit dispatch charge Step never pays
-//   Final fetch-fault/undecodable attempt: fault-unit work in place of the
-//         unit work, same shape otherwise (Block's dynamic fallback always
-//         publishes, even below record-emitting detail)
+//	One   decoded attempt: translated-unit work + publish
+//	      (NoTranslate ablation: dynamic-unit work + publish)
+//	Block decoded attempt: translated-unit work, + publish only when the
+//	      buildset emits per-instruction records
+//	Step  decoded attempt: (dynamic-unit work - 2) + (2E-1) publishes —
+//	      E per-entrypoint publishes plus E-1 record imports, where the
+//	      -2 drops the per-unit dispatch charge Step never pays
+//	Final fetch-fault/undecodable attempt: fault-unit work in place of the
+//	      unit work, same shape otherwise (Block's dynamic fallback always
+//	      publishes, even below record-emitting detail)
 //
 // A final attempt that decoded (e.g. the exit syscall, or a mid-execution
 // memory fault) is already in the profile and charged as decoded.

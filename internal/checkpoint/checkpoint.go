@@ -223,10 +223,22 @@ func (e *MismatchError) Error() string {
 
 type encoder struct{ buf bytes.Buffer }
 
-func (e *encoder) u8(v uint8)   { e.buf.WriteByte(v) }
-func (e *encoder) u16(v uint16) { var b [2]byte; binary.LittleEndian.PutUint16(b[:], v); e.buf.Write(b[:]) }
-func (e *encoder) u32(v uint32) { var b [4]byte; binary.LittleEndian.PutUint32(b[:], v); e.buf.Write(b[:]) }
-func (e *encoder) u64(v uint64) { var b [8]byte; binary.LittleEndian.PutUint64(b[:], v); e.buf.Write(b[:]) }
+func (e *encoder) u8(v uint8) { e.buf.WriteByte(v) }
+func (e *encoder) u16(v uint16) {
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], v)
+	e.buf.Write(b[:])
+}
+func (e *encoder) u32(v uint32) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	e.buf.Write(b[:])
+}
+func (e *encoder) u64(v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	e.buf.Write(b[:])
+}
 
 func encodeMachine(st *State) []byte {
 	var e encoder

@@ -73,7 +73,7 @@ func benchBuildset(b *testing.B, bs string, opts Options) {
 // the hot path pays before any instruction semantics run.
 func benchBranchProgram() []uint32 {
 	return []uint32{
-		encBR(opBEQ, 15, 1),  // @0: always taken -> @8
+		encBR(opBEQ, 15, 1), // @0: always taken -> @8
 		encALU(opHLT, 15, 0, 0),
 		encBR(opBEQ, 15, -3), // @8: always taken -> @0
 	}

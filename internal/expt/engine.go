@@ -100,14 +100,6 @@ type Config struct {
 	// cells are marked interrupted without running. Interrupted cells are
 	// not journaled; a resumed run computes them.
 	Interrupt <-chan struct{}
-	// RetryBackoff is the base delay of the exponential seeded-jitter
-	// backoff between bounded cell retries: 0 means DefaultRetryBackoff,
-	// negative disables the backoff (immediate retry, the pre-backoff
-	// behavior). See RetryDelay.
-	RetryBackoff time.Duration
-	// RetrySeed seeds the deterministic retry/reconnect jitter. A host
-	// knob: it never affects cell results, only when retries happen.
-	RetrySeed uint64
 	// Backend selects the execution engine measuring TableII cells: the
 	// in-process interpreter (default), the generated AOT runner binary, or
 	// both (each cell measured twice; see VerifyBackendParity).
@@ -144,6 +136,17 @@ func (c Config) workers() int {
 	return runtime.NumCPU()
 }
 
+// backends lists the backends a TableII sweep measures, in table order.
+func (c Config) backends() []Backend {
+	switch c.Backend {
+	case BackendAOT:
+		return []Backend{BackendAOT}
+	case BackendBoth:
+		return []Backend{BackendInterp, BackendAOT}
+	}
+	return []Backend{BackendInterp}
+}
+
 // cellJob is one {ISA × buildset × options × backend} measurement to
 // schedule.
 type cellJob struct {
@@ -159,11 +162,33 @@ type cellJob struct {
 // it: the ablation sweep measures the same (ISA, buildset) under several
 // option sets and each is its own cell. AOT jobs are suffixed so a both-
 // backend sweep journals the two measurements separately (interpreter keys
-// are unchanged from pre-AOT journals). The format is shared with
-// JobSpec.Key so fabric workers and local sweeps name cells identically.
+// are unchanged from pre-AOT journals).
+//
+// The key format is a compatibility contract: it names cells in resume
+// journals, so it must not change across versions — a changed key
+// silently orphans every journaled cell and forces recomputation. The
+// options portion is therefore an explicit field-by-field canonical
+// encoding (see canonicalOpts), not a reflective dump of core.Options.
 func (j cellJob) key() string {
-	return JobSpec{ISA: j.progs.ISA.Name, Buildset: j.buildset,
-		Opts: j.opts, Backend: j.backend}.Key()
+	k := j.progs.ISA.Name + "/" + j.buildset + "/" + canonicalOpts(j.opts)
+	if j.backend == BackendAOT {
+		k += "/aot"
+	}
+	return k
+}
+
+// canonicalOpts renders core.Options in the key's canonical form. The
+// format is frozen: it byte-matches the fmt %+v rendering the key
+// historically used, so journals written by earlier versions still
+// resolve. It deliberately names each field: adding, removing, or
+// reordering fields in core.Options no longer changes existing keys out
+// from under the journals. A new option field that affects measurement
+// must be appended here explicitly — and only with a migration story for
+// old journals (TestJobSpecKeyGolden and TestJobSpecKeyCoversOptions
+// enforce both directions).
+func canonicalOpts(o core.Options) string {
+	return fmt.Sprintf("{NoTranslate:%t NoDCE:%t ForceRecords:%t MaxBlockLen:%d CacheCap:%d}",
+		o.NoTranslate, o.NoDCE, o.ForceRecords, o.MaxBlockLen, o.CacheCap)
 }
 
 // interrupted reports whether ch (which may be nil) has been closed.
@@ -229,8 +254,9 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
 				c.QueueWait = wait
 				results[idx] = c
 				if cfg.Journal != nil && deterministicOutcome(c) {
-					// Journal errors must not fail the sweep; the cell's
-					// result stands either way, only durability is lost.
+					// A journal write error must not fail the sweep: the
+					// cell's result stands, only durability is lost. The
+					// journal keeps the error and its Close reports it.
 					_ = cfg.Journal.Record(j.key(), c)
 				}
 			}
@@ -383,18 +409,82 @@ func TableII(cfg Config) ([]Cell, *stats.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	byISA := map[string]*Programs{}
-	for _, p := range mixes {
-		byISA[p.ISA.Name] = p
+	cells := runCells(tableIIJobs(cfg, mixes), cfg, cfg.MinDur)
+	return cells, renderTableII(cfg, cells), nil
+}
+
+// tableIIJobs lists the Table II sweep's cells over mixes (one per ISA, in
+// isa.Names() order) in the order TableII schedules them: backend-major,
+// ISA-major, buildset-minor.
+func tableIIJobs(cfg Config, mixes []*Programs) []cellJob {
+	var jobs []cellJob
+	for _, be := range cfg.backends() {
+		for _, p := range mixes {
+			for _, bs := range isa.StdBuildsets {
+				jobs = append(jobs, cellJob{progs: p, buildset: bs, backend: be})
+			}
+		}
 	}
-	specs := TableIIJobSpecs(cfg)
-	jobs := make([]cellJob, len(specs))
-	for i, s := range specs {
-		jobs[i] = cellJob{progs: byISA[s.ISA], buildset: s.Buildset,
-			opts: s.Opts, backend: s.Backend}
+	return jobs
+}
+
+// renderTableII renders the Table II grid from measured cells under cfg's
+// metric and backend selection.
+func renderTableII(cfg Config, cells []Cell) *stats.Table {
+	byBS := map[string]map[string]Cell{}
+	for _, c := range cells {
+		k := c.Buildset + "/" + c.Backend
+		if byBS[k] == nil {
+			byBS[k] = map[string]Cell{}
+		}
+		byBS[k][c.ISA] = c
 	}
-	cells := runCells(jobs, cfg, cfg.MinDur)
-	return cells, RenderTableII(cfg, cells), nil
+	val := func(c Cell) any {
+		if c.Err != nil {
+			return errMark(c.Err)
+		}
+		return cfg.Metric.value(c)
+	}
+	// Columns come from the same isa.Names() list buildAllMixes sweeps: a
+	// newly registered ISA lands in the rendered table and geomeans the
+	// moment it is swept, instead of being measured and silently dropped.
+	names := isa.Names()
+	t := stats.NewTable(append([]string{"Semantic", "Informational", "Spec."}, names...)...)
+	for _, be := range cfg.backends() {
+		tag := be.cellTag()
+		for _, bs := range isa.StdBuildsets {
+			sem, info, spec := rowLabel(bs)
+			if be == BackendAOT {
+				sem += " (aot)"
+			}
+			row := byBS[bs+"/"+tag]
+			out := []any{sem, info, spec}
+			for _, name := range names {
+				out = append(out, val(row[name]))
+			}
+			t.Row(out...)
+		}
+		// Summary row per backend: the per-ISA geometric mean over the ok
+		// interfaces. ERR cells are skipped in cellGeoMean — their zero
+		// metrics would violate GeoMean's positive-input contract and wipe
+		// the row.
+		label := "ok cells"
+		if be == BackendAOT {
+			label = "ok aot cells"
+		}
+		var beCells []Cell
+		for _, c := range cells {
+			if c.Backend == tag {
+				beCells = append(beCells, c)
+			}
+		}
+		geo := []any{"geomean", label, ""}
+		for _, name := range names {
+			geo = append(geo, cellGeoMean(beCells, name, cfg.Metric))
+		}
+		t.Row(geo...)
+	}
+	return t
 }
 
 // Ablations measures the design-choice ablations DESIGN.md calls out —

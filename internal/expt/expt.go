@@ -246,11 +246,6 @@ type cellProgress struct {
 	// it belongs to (-1 when none).
 	ckpt       []byte
 	ckptKernel int
-	// onProgress, when non-nil, fires at every commit point (checkpoint
-	// capture and kernel boundary) with the progress record in a
-	// serializable state — the fabric worker ships a snapshot of it to the
-	// coordinator so a lease takeover can resume mid-kernel.
-	onProgress func(cp *cellProgress)
 }
 
 // measureCell is MeasureCell bounded by lim: the instruction budget is
@@ -308,9 +303,6 @@ func measureCell(p *Programs, buildset string, opts core.Options, minDur time.Du
 			lim.ckptSink = func(rc *runCheckpoint) {
 				if b, err := rc.encode(); err == nil {
 					cp.ckpt, cp.ckptKernel = b, idx
-					if cp.onProgress != nil {
-						cp.onProgress(cp)
-					}
 				}
 			}
 		}
@@ -368,9 +360,6 @@ func measureCell(p *Programs, buildset string, opts core.Options, minDur time.Du
 		cp.kernelsDone = idx + 1
 		cp.warmupDone = false
 		cp.curInstrs, cp.curWork, cp.curElapsed = 0, 0, 0
-		if cp.onProgress != nil {
-			cp.onProgress(cp)
-		}
 	}
 	cell.Instret, cell.WorkUnits = cp.instret, cp.workUnits
 	cell.Stats = cp.stats

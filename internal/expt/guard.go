@@ -36,10 +36,6 @@ const (
 	// sweep received a shutdown signal. Not retried in this process; a
 	// resumed run computes it fresh.
 	CellInterrupted
-	// CellLost is a fabric cell whose lease expired (or whose worker died)
-	// on every worker it was tried on, up to the coordinator's per-cell
-	// retry bound. Transient by nature: a rerun computes it fresh.
-	CellLost
 )
 
 func (k CellErrorKind) String() string {
@@ -52,8 +48,6 @@ func (k CellErrorKind) String() string {
 		return "budget"
 	case CellInterrupted:
 		return "interrupted"
-	case CellLost:
-		return "lost"
 	default:
 		return "failed"
 	}
@@ -282,66 +276,9 @@ func decodeRunCheckpoint(b []byte) (*runCheckpoint, error) {
 	}, nil
 }
 
-// DefaultRetryBackoff is the base delay between bounded cell-retry
-// attempts when Config.RetryBackoff is zero. Exponential with seeded
-// jitter; see RetryDelay.
-const DefaultRetryBackoff = 25 * time.Millisecond
-
-// maxRetryBackoff caps any single retry delay.
-const maxRetryBackoff = 2 * time.Second
-
-// splitmix64 is the standard splitmix64 finalizer: a cheap, well-mixed
-// deterministic hash used to derive jitter from (seed, key, attempt).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// RetryDelay is the backoff before retry number attempt (attempt 1 is the
-// delay before the second try) of the work identified by key: exponential
-// in the attempt number with ±25% deterministic jitter derived from
-// (seed, key, attempt). Deterministic by construction — the same inputs
-// always produce the same schedule — so backoff behavior is testable and
-// reproducible, while different seeds (or keys) desynchronize retry storms
-// the way random jitter would. Delays are capped at 2s. The same helper
-// paces guarded cell retries and fabric worker reconnects.
-func RetryDelay(seed uint64, key string, attempt int, base time.Duration) time.Duration {
-	if base <= 0 || attempt < 1 {
-		return 0
-	}
-	d := base << uint(attempt-1)
-	if d <= 0 || d > maxRetryBackoff {
-		d = maxRetryBackoff
-	}
-	h := seed
-	for i := 0; i < len(key); i++ {
-		h = splitmix64(h ^ uint64(key[i]))
-	}
-	h = splitmix64(h ^ uint64(attempt))
-	// Jitter in [-25%, +25%): h mod d/2, shifted down by d/4.
-	q := int64(d) / 4
-	if q > 0 {
-		d += time.Duration(int64(h%uint64(2*q)) - q)
-	}
-	if d > maxRetryBackoff {
-		d = maxRetryBackoff
-	}
-	return d
-}
-
-// retryDelay resolves cfg's backoff knobs for one cell retry.
-func (c Config) retryDelay(key string, attempt int) time.Duration {
-	base := c.RetryBackoff
-	if base == 0 {
-		base = DefaultRetryBackoff
-	}
-	if base < 0 {
-		return 0
-	}
-	return RetryDelay(c.RetrySeed, key, attempt, base)
-}
+// retryPause is the delay before a transient cell's one bounded retry: an
+// immediate retry tends to rediscover the same transient.
+const retryPause = 25 * time.Millisecond
 
 // runCellGuarded measures one cell under cfg's watchdog, converting panics
 // and limit violations into a typed *CellError instead of letting them
@@ -355,24 +292,12 @@ func (c Config) retryDelay(key string, attempt int) time.Duration {
 // retry resumes from the last checkpoint instead of re-running the cell
 // from zero.
 func runCellGuarded(j cellJob, cfg Config, minDur time.Duration) Cell {
-	return runCellGuardedFrom(j, cfg, minDur, &cellProgress{ckptKernel: -1})
-}
-
-// runCellGuardedFrom is runCellGuarded resuming from (and committing into)
-// an existing progress record — the fabric takeover path, where cp arrived
-// from another worker's last shipped snapshot.
-func runCellGuardedFrom(j cellJob, cfg Config, minDur time.Duration, cp *cellProgress) Cell {
 	start := time.Now()
+	cp := &cellProgress{ckptKernel: -1}
 	var last *CellError
 	for attempt := 1; attempt <= 2; attempt++ {
 		if attempt > 1 {
-			// Exponential backoff with seeded jitter before the bounded
-			// retry: an immediate retry of a transiently failing cell tends
-			// to rediscover the same transient (and, fleet-wide, to
-			// synchronize retry storms).
-			if d := cfg.retryDelay(j.key(), attempt-1); d > 0 {
-				time.Sleep(d)
-			}
+			time.Sleep(retryPause)
 		}
 		c, cerr := runCellOnce(j, cfg, minDur, attempt, cp)
 		if cerr == nil {

@@ -31,9 +31,8 @@ const JournalName = "journal.ssj"
 const maxJournalRecord = 1 << 24
 
 // journalRecord is the JSON payload of one journal record. Type is "run"
-// for a lineage header (one per process that wrote to the journal), "cell"
-// for a completed sweep cell, or "raw" for an opaque completion payload
-// owned by another package (fault-campaign cells ride this way).
+// for a lineage header (one per process that wrote to the journal) or
+// "cell" for a completed sweep cell.
 type journalRecord struct {
 	Type string `json:"type"`
 
@@ -47,10 +46,6 @@ type journalRecord struct {
 	Status string    `json:"status,omitempty"`
 	ErrMsg string    `json:"err,omitempty"`
 	Cell   *cellData `json:"cell,omitempty"`
-
-	// Raw payload (Type "raw" only): the owning package's own encoding,
-	// protected by the same framing CRC as everything else.
-	Raw json.RawMessage `json:"raw,omitempty"`
 }
 
 // cellData is the journaled slice of a Cell: every deterministic field plus
@@ -70,8 +65,7 @@ type cellData struct {
 	Stats        CellStats `json:"stats"`
 }
 
-// cellRecord builds the record of one completed cell — the payload the run
-// journal, worker segments and the fabric wire all carry.
+// cellRecord builds the journal record of one completed cell.
 func cellRecord(key string, c Cell) journalRecord {
 	r := journalRecord{Type: "cell", Key: key, Status: "ok", Cell: &cellData{
 		ISA: c.ISA, Buildset: c.Buildset, Backend: c.Backend,
@@ -100,7 +94,7 @@ func (r journalRecord) cell() Cell {
 	}
 	if r.Status != "ok" {
 		kind := CellFailed
-		for _, k := range []CellErrorKind{CellPanic, CellTimeout, CellBudget, CellInterrupted, CellLost} {
+		for _, k := range []CellErrorKind{CellPanic, CellTimeout, CellBudget, CellInterrupted} {
 			if r.Status == k.String() {
 				kind = k
 			}
@@ -147,18 +141,21 @@ func (e *CorruptJournalError) Error() string {
 	return fmt.Sprintf("expt: journal %s corrupt at offset %d: %s", e.Path, e.Offset, e.Reason)
 }
 
-// recordFile is an open journal or segment file. Records are appended
-// whole and fsynced one at a time, under mu.
+// recordFile is an open journal file. Records are appended whole and
+// fsynced one at a time, under mu.
 type recordFile struct {
 	mu sync.Mutex
 	f  *os.File
+	// err is the first failed append. It refuses every later append, so a
+	// half-written record stays the torn tail that resume drops instead of
+	// becoming mid-file corruption, and Close reports it.
+	err error
 }
 
 // open opens (creating if needed) the file at path, drops everything past
-// off — a torn tail, or a previous run's segment — and durably appends the
-// lineage header hdr. The directories it creates, and a newly created file,
-// have their parent directory fsynced too, so the file itself survives a
-// crash.
+// off — a torn tail — and durably appends the lineage header hdr. The
+// directories it creates, and a newly created file, have their parent
+// directory fsynced too, so the file itself survives a crash.
 func (l *recordFile) open(path string, off int64, hdr journalRecord) error {
 	dir := filepath.Dir(path)
 	if err := mkdirSynced(dir); err != nil {
@@ -233,17 +230,27 @@ func (l *recordFile) append(r journalRecord) error {
 	copy(buf[8:], payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.f.Write(buf); err != nil {
-		return err
+	if l.err != nil {
+		return l.err
 	}
-	return l.f.Sync()
+	_, err = l.f.Write(buf)
+	if err == nil {
+		err = l.f.Sync()
+	}
+	l.err = err
+	return err
 }
 
-// Close closes the file.
+// Close closes the file. It returns the first failed append, if any, so a
+// caller that ignored one still learns the journal is incomplete.
 func (l *recordFile) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Close()
+	err := l.f.Close()
+	if l.err != nil {
+		return l.err
+	}
+	return err
 }
 
 // RunJournal is the append-only completion journal of one sweep directory.
@@ -295,7 +302,7 @@ func OpenJournal(dir, runID, fingerprint string, resume bool) (*RunJournal, erro
 			case "run":
 				prevFP = r.Fingerprint
 				j.parentRunID = r.RunID
-			case "cell", "raw":
+			case "cell":
 				if _, dup := j.cells[r.Key]; !dup {
 					j.restoredKeys = append(j.restoredKeys, r.Key)
 				}
@@ -391,42 +398,18 @@ func (j *RunJournal) Lookup(key string) (Cell, bool) {
 	return c, true
 }
 
-// Record journals one completed cell. Only deterministic outcomes belong
-// here (ok, failed, budget); transient outcomes (panic, timeout,
-// interrupted) are the caller's to re-run.
+// Record journals one completed cell and makes it visible to Lookup. Only
+// deterministic outcomes belong here (ok, failed, budget); transient
+// outcomes (panic, timeout, interrupted) are the caller's to re-run.
 func (j *RunJournal) Record(key string, c Cell) error {
-	return j.record(cellRecord(key, c))
-}
-
-// RecordRaw journals one completed cell whose payload another package
-// owns (encoding and decoding included); the journal only guarantees the
-// bytes survive intact. Like Record, only deterministic outcomes belong
-// here.
-func (j *RunJournal) RecordRaw(key string, raw []byte) error {
-	return j.record(journalRecord{Type: "raw", Key: key, Raw: json.RawMessage(raw)})
-}
-
-// record durably appends r and makes it visible to Lookup.
-func (j *RunJournal) record(r journalRecord) error {
+	r := cellRecord(key, c)
 	if err := j.append(r); err != nil {
 		return err
 	}
 	j.mu.Lock()
-	j.cells[r.Key] = r
+	j.cells[key] = r
 	j.mu.Unlock()
 	return nil
-}
-
-// LookupRaw returns the journaled raw payload for a key, if a previous run
-// recorded one with RecordRaw.
-func (j *RunJournal) LookupRaw(key string) ([]byte, bool) {
-	j.mu.Lock()
-	r, ok := j.cells[key]
-	j.mu.Unlock()
-	if !ok || r.Type != "raw" || len(r.Raw) == 0 {
-		return nil, false
-	}
-	return append([]byte(nil), r.Raw...), true
 }
 
 // RunID returns this run's lineage id; ParentRunID returns the id of the
@@ -436,120 +419,6 @@ func (j *RunJournal) ParentRunID() string { return j.parentRunID }
 
 // Restored returns the number of cells loaded from previous runs.
 func (j *RunJournal) Restored() int { return len(j.restoredKeys) }
-
-// ---- worker segment files ----
-//
-// A fabric coordinator persists every result a worker delivers into a
-// per-worker segment file in the run journal's CRC-framed record format,
-// then merges the segments back at sweep end. The round trip means the
-// merged tables are built from records that survived framing, CRC, and
-// JSON validation end to end — and it gives the merge the same damage
-// semantics as resume: a torn final record (the append that was in flight
-// when a process died) is dropped; corruption anywhere before it refuses
-// the merge with a *CorruptJournalError naming the file and offset.
-
-// KeyedCell pairs a journaled cell with its job key.
-type KeyedCell struct {
-	Key  string
-	Cell Cell
-}
-
-// Segment is an append-only per-worker completion journal.
-type Segment struct{ recordFile }
-
-// CreateSegment creates (truncating any previous file) a segment stamped
-// with a lineage header carrying the worker id and the run's config
-// fingerprint; LoadSegment verifies the fingerprint so a stale segment
-// from an old run can never be merged into a new one.
-func CreateSegment(path, workerID, fingerprint string) (*Segment, error) {
-	s := &Segment{}
-	if err := s.open(path, 0, journalRecord{Type: "run", RunID: workerID, Fingerprint: fingerprint}); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Append durably appends one completed cell.
-func (s *Segment) Append(key string, c Cell) error {
-	return s.append(cellRecord(key, c))
-}
-
-// AppendRaw durably appends one completed cell in another package's own
-// encoding (see RunJournal.RecordRaw).
-func (s *Segment) AppendRaw(key string, raw []byte) error {
-	return s.append(journalRecord{Type: "raw", Key: key, Raw: json.RawMessage(raw)})
-}
-
-// LoadSegment reads a segment file back: its fingerprint header must match
-// fingerprint (a mismatched segment is a stale worker's and is refused with
-// *FingerprintMismatchError), a torn final record is dropped, and mid-file
-// corruption returns the parser's *CorruptJournalError with the damage
-// offset. Cells come back marked computed (not Restored).
-func LoadSegment(path, fingerprint string) ([]KeyedCell, error) {
-	recs, err := loadSegment(path, fingerprint, "cell")
-	if err != nil {
-		return nil, err
-	}
-	var out []KeyedCell
-	for _, r := range recs {
-		if r.Cell != nil {
-			out = append(out, KeyedCell{Key: r.Key, Cell: r.cell()})
-		}
-	}
-	return out, nil
-}
-
-// KeyedRaw pairs a raw completion payload with its key.
-type KeyedRaw struct {
-	Key string
-	Raw []byte
-}
-
-// LoadSegmentRaw reads a segment of raw-payload records back with the same
-// header/fingerprint/torn-tail/corruption semantics as LoadSegment.
-func LoadSegmentRaw(path, fingerprint string) ([]KeyedRaw, error) {
-	recs, err := loadSegment(path, fingerprint, "raw")
-	if err != nil {
-		return nil, err
-	}
-	var out []KeyedRaw
-	for _, r := range recs {
-		if len(r.Raw) != 0 {
-			out = append(out, KeyedRaw{Key: r.Key, Raw: append([]byte(nil), r.Raw...)})
-		}
-	}
-	return out, nil
-}
-
-// loadSegment parses a segment file, checks its lineage header against
-// fingerprint, and returns its records of type typ.
-func loadSegment(path, fingerprint, typ string) ([]journalRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	recs, _, err := parseJournal(path, data)
-	if err != nil {
-		return nil, err
-	}
-	var out []journalRecord
-	sawHeader := false
-	for _, r := range recs {
-		switch r.Type {
-		case "run":
-			sawHeader = true
-			if r.Fingerprint != fingerprint {
-				return nil, &FingerprintMismatchError{Path: path, Got: r.Fingerprint, Want: fingerprint}
-			}
-		case typ:
-			out = append(out, r)
-		}
-	}
-	if !sawHeader {
-		return nil, &CorruptJournalError{Path: path, Offset: 0, Reason: "segment has no lineage header"}
-	}
-	return out, nil
-}
 
 // Fingerprint derives the configuration fingerprint a journal is stamped
 // with: everything that determines which cells a sweep produces and what

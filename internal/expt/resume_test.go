@@ -241,6 +241,54 @@ func TestJournalMidFileCorruptionRefused(t *testing.T) {
 	}
 }
 
+// TestJournalWriteErrorKept swaps the journal's file for a read-only
+// handle, so appends fail as on a failing disk. The first error must
+// refuse every later append, even once the file is writable again, so a
+// half-written record can only ever be the torn tail; and Close must
+// report it, or a sweep whose journal stopped recording exits 0 and a
+// later resume silently recomputes its cells.
+func TestJournalWriteErrorKept(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, "run-1", testFP, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, JournalName)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.f.Close()
+	j.f = ro
+	cell := Cell{ISA: "alpha64", Buildset: "one_min", Instret: 10}
+	werr := j.Record("k1", cell)
+	if werr == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	rw, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro.Close()
+	j.f = rw
+	if err := j.Record("k2", cell); !errors.Is(err, werr) {
+		t.Errorf("append after a failed append: err = %v, want %v", err, werr)
+	}
+	if err := j.Close(); !errors.Is(err, werr) {
+		t.Errorf("Close = %v, want the failed append's error %v", err, werr)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Errorf("journal changed after a failed append: %d bytes, was %d", len(after), len(before))
+	}
+	if _, found := j.Lookup("k1"); found {
+		t.Error("a record that failed to append is visible to Lookup")
+	}
+}
+
 // TestSweepResumeMatchesUninterrupted is the cross-process resume
 // differential: a sweep killed partway (simulated by truncating its journal
 // to one completed cell plus a torn tail) and resumed must produce exactly

@@ -1,12 +1,9 @@
 package faultinj
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 
 	"singlespec/internal/asm"
@@ -101,20 +98,17 @@ type Result struct {
 func (r Result) OK() bool { return r.Err == nil && r.Divergence == nil }
 
 // Key returns the cell's stable identity ("ISA/class/kernel") — the same
-// namespace CellSpec.Key uses, so campaign journals, fabric leases, and
-// report rows all name a cell identically.
+// namespace CellSpec.Key uses. It seeds the cell's fault schedule and
+// names the cell in the report.
 func (r Result) Key() string {
 	return fmt.Sprintf("%s/%s/%s", r.ISA, r.Class, r.Kernel)
 }
 
-// CellSpec identifies one campaign cell before it runs: the unit of work a
-// fabric coordinator leases and MeasureCampaignCell measures. Like
-// expt.JobSpec for sweep cells, its Key is a compatibility contract: it
-// names cells in campaign journals, segment files, and wire frames.
+// CellSpec identifies one campaign cell before it runs.
 type CellSpec struct {
-	ISA    string `json:"isa"`
-	Kernel string `json:"kernel"`
-	Class  Class  `json:"class"`
+	ISA    string
+	Kernel string
+	Class  Class
 }
 
 // Key returns the spec's stable identity ("ISA/class/kernel").
@@ -122,23 +116,9 @@ func (s CellSpec) Key() string {
 	return fmt.Sprintf("%s/%s/%s", s.ISA, s.Class, s.Kernel)
 }
 
-// ParseCellKey inverts CellSpec.Key. Campaign leases are key-addressed on
-// the fabric wire, so a worker rebuilds the spec from the key alone.
-func ParseCellKey(key string) (CellSpec, error) {
-	parts := strings.Split(key, "/")
-	if len(parts) != 3 || parts[0] == "" || parts[1] == "" || parts[2] == "" {
-		return CellSpec{}, fmt.Errorf("faultinj: malformed cell key %q (want ISA/class/kernel)", key)
-	}
-	cl, ok := classByName(parts[1])
-	if !ok {
-		return CellSpec{}, fmt.Errorf("faultinj: cell key %q names unknown class %q", key, parts[1])
-	}
-	return CellSpec{ISA: parts[0], Kernel: parts[2], Class: cl}, nil
-}
-
 // CampaignCells expands a config into its deterministic cell order:
-// class-major, then ISA, then kernel. This is the list a campaign runs and
-// a fabric coordinator leases; the report's rows follow it exactly.
+// class-major, then ISA, then kernel. This is the list a campaign runs;
+// the report's rows follow it exactly.
 func CampaignCells(cfg Config) []CellSpec {
 	cfg = cfg.withDefaults()
 	var out []CellSpec
@@ -187,7 +167,7 @@ func Run(cfg Config) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range idxCh {
-				results[idx] = runCell(specs[idx], cfg, injectOpts{}, 0, nil)
+				results[idx] = runCell(specs[idx], cfg, injectOpts{})
 			}
 		}()
 	}
@@ -197,94 +177,13 @@ func Run(cfg Config) (*Report, error) {
 	close(idxCh)
 	wg.Wait()
 	rep := &Report{Seed: cfg.Seed, Results: results}
-	rep.Record(cfg.Obs)
+	rep.record(cfg.Obs)
 	return rep, nil
 }
 
-// ProgressSink receives campaign-cell progress snapshots: an opaque blob a
-// later MeasureCampaignCell call can resume from, plus the clean run's
-// retirement count for liveness display. Mirrors expt.ProgressSink so
-// fabric heartbeats can ship campaign progress unchanged.
-type ProgressSink func(snapshot []byte, instret uint64)
-
-// MeasureCampaignCell runs one campaign cell, optionally resuming from a
-// progress snapshot a previous attempt shipped through its sink. It is the
-// campaign analogue of expt.MeasureSpec: the unit of work a fabric worker
-// executes under lease.
-//
-// Only the clean reference pass is resumable — for the load/fetch/squash
-// classes the clean run exists solely to fix the schedule space (total
-// retirements) and never consumes the cell's RNG stream, so skipping it on
-// resume is byte-identical. The codegen class needs the clean run's end
-// state as its differential reference and the syscall class has no clean
-// pass, so those classes ignore resume data and ship no snapshots. A
-// damaged or mismatched snapshot is dropped (counted on reg as
-// "faultinj.snapshot_dropped") and the cell restarts from scratch — resume
-// is an optimization, never a correctness risk.
-//
-// The bool result reports whether the cell actually resumed mid-cell.
-func MeasureCampaignCell(spec CellSpec, cfg Config, resume []byte, sink ProgressSink, reg *obs.Registry) (Result, bool) {
-	cfg = cfg.withDefaults()
-	refInstret := uint64(0)
-	resumed := false
-	if len(resume) > 0 && spec.Class.cleanSkippable() {
-		if n, err := decodeCampaignProgress(resume); err == nil {
-			refInstret = n
-			resumed = true
-		} else {
-			reg.Counter("faultinj.snapshot_dropped").Inc()
-		}
-	}
-	return runCell(spec, cfg, injectOpts{}, refInstret, sink), resumed
-}
-
-// cleanSkippable reports whether a class's clean pass only feeds the
-// schedule space and can be skipped when resuming from a snapshot.
-func (c Class) cleanSkippable() bool {
-	switch c {
-	case ClassLoad, ClassFetch, ClassSquash:
-		return true
-	}
-	return false
-}
-
-// campaignProgress is the wire form of a campaign-cell progress snapshot.
-// Like expt's progressWire it is versioned by shape: decode validates every
-// field and rejects anything it does not recognise.
-type campaignProgress struct {
-	Phase      string `json:"phase"`
-	RefInstret uint64 `json:"ref_instret"`
-}
-
-const campaignPhaseCleanDone = "clean_done"
-
-func encodeCampaignProgress(refInstret uint64) []byte {
-	b, _ := json.Marshal(campaignProgress{Phase: campaignPhaseCleanDone, RefInstret: refInstret})
-	return b
-}
-
-func decodeCampaignProgress(data []byte) (uint64, error) {
-	var p campaignProgress
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
-		return 0, fmt.Errorf("faultinj: decode progress: %w", err)
-	}
-	if p.Phase != campaignPhaseCleanDone {
-		return 0, fmt.Errorf("faultinj: progress phase %q not recognised", p.Phase)
-	}
-	if p.RefInstret == 0 {
-		return 0, fmt.Errorf("faultinj: progress with zero ref_instret")
-	}
-	return p.RefInstret, nil
-}
-
 // runCell executes one cell under a recover barrier: a panicking cell is
-// reported in its Result and never takes down the campaign. When
-// refInstret is nonzero and the class's clean pass is skippable, the clean
-// run is elided and the schedule space taken from the snapshot; when sink
-// is non-nil, a snapshot is shipped once the clean pass completes.
-func runCell(cs CellSpec, cfg Config, opts injectOpts, refInstret uint64, sink ProgressSink) (res Result) {
+// reported in its Result and never takes down the campaign.
+func runCell(cs CellSpec, cfg Config, opts injectOpts) (res Result) {
 	res = Result{ISA: cs.ISA, Kernel: cs.Kernel, Class: cs.Class, Buildset: cs.Class.buildset()}
 	defer func() {
 		if r := recover(); r != nil {
@@ -336,23 +235,13 @@ func runCell(cs CellSpec, cfg Config, opts injectOpts, refInstret uint64, sink P
 		return res
 	}
 
-	// Pass 1: a clean run fixes the schedule space (total retirements). It
-	// never touches the cell's RNG stream, so a resumed cell that skips it
-	// produces the identical fault schedule.
-	var clean *runState
-	if refInstret > 0 && cs.Class.cleanSkippable() {
-		res.RefInstret = refInstret
-	} else {
-		clean = newRun(i, prog, sim)
-		if err := clean.runAll(cfg.MaxInstr); err != nil {
-			res.Err = fmt.Errorf("faultinj: clean run: %w", err)
-			return res
-		}
-		res.RefInstret = clean.m.Instret
-		if sink != nil && cs.Class.cleanSkippable() {
-			sink(encodeCampaignProgress(res.RefInstret), res.RefInstret)
-		}
+	// Pass 1: a clean run fixes the schedule space (total retirements).
+	clean := newRun(i, prog, sim)
+	if err := clean.runAll(cfg.MaxInstr); err != nil {
+		res.Err = fmt.Errorf("faultinj: clean run: %w", err)
+		return res
 	}
+	res.RefInstret = clean.m.Instret
 	events := pickEvents(rng, res.RefInstret, cfg.Events)
 	res.Planned = len(events)
 

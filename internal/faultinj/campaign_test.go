@@ -4,8 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"singlespec/internal/obs"
 )
 
 // TestParseClassesRejectsDuplicates (satellite: duplicate classes): a class
@@ -26,163 +24,5 @@ func TestParseClassesRejectsDuplicates(t *testing.T) {
 	// Whitespace-trimmed duplicates are still duplicates.
 	if _, err := ParseClasses("squash, squash"); err == nil {
 		t.Error("trimmed duplicate accepted")
-	}
-}
-
-// TestCellKeyRoundTrip: ParseCellKey inverts CellSpec.Key for every cell a
-// campaign can produce, and rejects malformed keys.
-func TestCellKeyRoundTrip(t *testing.T) {
-	for _, spec := range CampaignCells(Config{Seed: 1}) {
-		got, err := ParseCellKey(spec.Key())
-		if err != nil {
-			t.Fatalf("ParseCellKey(%q): %v", spec.Key(), err)
-		}
-		if got != spec {
-			t.Errorf("ParseCellKey(%q) = %+v, want %+v", spec.Key(), got, spec)
-		}
-	}
-	for _, bad := range []string{"", "a/b", "a/b/c/d", "alpha64//crc32", "alpha64/cosmic/crc32"} {
-		if _, err := ParseCellKey(bad); err == nil {
-			t.Errorf("ParseCellKey(%q) accepted", bad)
-		}
-	}
-}
-
-// TestResultWireRoundTrip: every result status survives Encode/Decode with
-// its report rendering byte-identical — the property the distributed
-// campaign's merged report is built on.
-func TestResultWireRoundTrip(t *testing.T) {
-	spec := CellSpec{ISA: "alpha64", Kernel: "crc32", Class: ClassLoad}
-	cases := []Result{
-		{ISA: "alpha64", Kernel: "crc32", Class: ClassLoad, Buildset: "one_all_spec",
-			Planned: 3, Injected: 3, Recovered: 3, RefInstret: 12345},
-		{ISA: "alpha64", Kernel: "crc32", Class: ClassFetch, Buildset: "one_all",
-			Planned: 2, Injected: 2, Faults: 2, Recovered: 2, RefInstret: 999},
-		{ISA: "alpha64", Kernel: "crc32", Class: ClassCodeGen, Buildset: "block_min",
-			Planned: 4, Injected: 4, Recovered: 4, RefInstret: 777, ChainFollows: 55},
-		{ISA: "alpha64", Kernel: "crc32", Class: ClassSquash, Buildset: "one_all_spec",
-			Planned: 2, Injected: 2, RefInstret: 500,
-			Divergence: &Divergence{Instret: 400, RefPC: 0x1000, GotPC: 0x1008, Detail: "x1 mismatch"}},
-		{ISA: "alpha64", Kernel: "crc32", Class: ClassSyscall, Buildset: "one_all",
-			Planned: 2, Err: errors.New("faultinj: clean run: budget blown")},
-		LostResult(spec, 3, "lease lost on 3 worker(s), last on w-c: connection lost"),
-		InterruptedResult(spec),
-	}
-	wantStatus := []string{"ok", "ok", "ok", "diverged", "error", "lost", "interrupted"}
-	for i, r := range cases {
-		if got := ResultStatus(r); got != wantStatus[i] {
-			t.Errorf("case %d: ResultStatus = %q, want %q", i, got, wantStatus[i])
-		}
-		payload, err := EncodeResult(r)
-		if err != nil {
-			t.Fatalf("case %d: encode: %v", i, err)
-		}
-		back, err := DecodeResult(payload)
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
-		}
-		a := Report{Seed: 1, Results: []Result{r}}
-		b := Report{Seed: 1, Results: []Result{back}}
-		if a.String() != b.String() {
-			t.Errorf("case %d: report rendering changed across the wire:\nbefore:\n%s\nafter:\n%s",
-				i, a.String(), b.String())
-		}
-		if ResultStatus(back) != wantStatus[i] {
-			t.Errorf("case %d: status %q after round trip, want %q", i, ResultStatus(back), wantStatus[i])
-		}
-	}
-	// Typed errors survive for retry classification.
-	lostBack, _ := EncodeResult(cases[5])
-	res, err := DecodeResult(lostBack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var le *LostError
-	if !errors.As(res.Err, &le) || le.Tries != 3 {
-		t.Errorf("lost result did not round-trip its typed error: %v", res.Err)
-	}
-	if _, err := DecodeResult([]byte(`{"key":"x","status":"weird"}`)); err == nil {
-		t.Error("unknown status accepted")
-	}
-	if _, err := DecodeResult([]byte(`not json`)); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-// TestMeasureCampaignCellResumeParity: resuming a cell from its clean-pass
-// snapshot produces the byte-identical Result a from-scratch run does —
-// the property mid-cell lease takeover rests on. Damaged snapshots are
-// dropped (and counted), never half-applied.
-func TestMeasureCampaignCellResumeParity(t *testing.T) {
-	cfg := Config{Seed: 7, Events: 3, Kernels: []string{"crc32"}}
-	for _, spec := range CampaignCells(cfg) {
-		spec := spec
-		t.Run(spec.Key(), func(t *testing.T) {
-			var snap []byte
-			fresh, resumed := MeasureCampaignCell(spec, cfg, nil, func(b []byte, _ uint64) {
-				snap = append([]byte(nil), b...)
-			}, nil)
-			if resumed {
-				t.Fatal("fresh run claims it resumed")
-			}
-			if fresh.Err != nil {
-				t.Fatalf("fresh run errored: %v", fresh.Err)
-			}
-			if spec.Class.cleanSkippable() {
-				if snap == nil {
-					t.Fatal("clean-skippable class shipped no snapshot")
-				}
-				res, ok := MeasureCampaignCell(spec, cfg, snap, nil, nil)
-				if !ok {
-					t.Fatal("valid snapshot not resumed")
-				}
-				a, _ := EncodeResult(fresh)
-				b, _ := EncodeResult(res)
-				if string(a) != string(b) {
-					t.Errorf("resumed result differs from fresh:\nfresh:   %s\nresumed: %s", a, b)
-				}
-			} else if snap != nil {
-				t.Errorf("class %s shipped a snapshot it cannot resume from", spec.Class)
-			}
-		})
-	}
-
-	// A damaged snapshot restarts from scratch and is counted.
-	reg := obs.NewRegistry()
-	spec := CellSpec{ISA: "alpha64", Kernel: "crc32", Class: ClassLoad}
-	res, resumed := MeasureCampaignCell(spec, cfg, []byte(`{"phase":"bogus"}`), nil, reg)
-	if resumed {
-		t.Error("damaged snapshot claimed to resume")
-	}
-	if res.Err != nil {
-		t.Errorf("damaged snapshot broke the cell: %v", res.Err)
-	}
-	if n := reg.Snapshot().Counters["faultinj.snapshot_dropped"]; n != 1 {
-		t.Errorf("faultinj.snapshot_dropped = %d, want 1", n)
-	}
-}
-
-// TestCampaignFingerprint: the fingerprint pins everything that determines
-// the cell list and schedules, and nothing host-local.
-func TestCampaignFingerprint(t *testing.T) {
-	base := Config{Seed: 1, Events: 2, Kernels: []string{"crc32"}}
-	fp := Fingerprint(base)
-	same := base
-	same.Workers = 16 // host knob: same campaign
-	if Fingerprint(same) != fp {
-		t.Error("worker count changed the fingerprint")
-	}
-	for _, mut := range []func(*Config){
-		func(c *Config) { c.Seed = 2 },
-		func(c *Config) { c.Events = 3 },
-		func(c *Config) { c.Kernels = []string{"sieve"} },
-		func(c *Config) { c.Classes = []Class{ClassLoad} },
-		func(c *Config) { c.MaxInstr = 1000 },
-	} {
-		m := base
-		mut(&m)
-		if Fingerprint(m) == fp {
-			t.Errorf("mutation %+v did not change the fingerprint", m)
-		}
 	}
 }

@@ -91,7 +91,7 @@ func TestDifferentSeedsDifferentSchedules(t *testing.T) {
 // as a cell error).
 func TestFetchInjectionForcesFaultPath(t *testing.T) {
 	cfg := quickCfg(11).withDefaults()
-	res := runCell(CellSpec{ISA: "alpha64", Kernel: "crc32", Class: ClassFetch}, cfg, injectOpts{}, 0, nil)
+	res := runCell(CellSpec{ISA: "alpha64", Kernel: "crc32", Class: ClassFetch}, cfg, injectOpts{})
 	if res.Err != nil {
 		t.Fatalf("fetch cell errored: %v", res.Err)
 	}
@@ -112,7 +112,7 @@ func TestFetchInjectionForcesFaultPath(t *testing.T) {
 func TestLoadDivergenceDetected(t *testing.T) {
 	cfg := quickCfg(5).withDefaults()
 	res := runCell(CellSpec{ISA: "alpha64", Kernel: "crc32", Class: ClassLoad}, cfg,
-		injectOpts{skipRecovery: true}, 0, nil)
+		injectOpts{skipRecovery: true})
 	if res.Err != nil {
 		t.Fatalf("cell errored instead of diverging: %v", res.Err)
 	}
@@ -129,7 +129,7 @@ func TestLoadDivergenceDetected(t *testing.T) {
 func TestFetchDivergenceDetected(t *testing.T) {
 	cfg := quickCfg(5).withDefaults()
 	res := runCell(CellSpec{ISA: "alpha64", Kernel: "crc32", Class: ClassFetch}, cfg,
-		injectOpts{skipRecovery: true}, 0, nil)
+		injectOpts{skipRecovery: true})
 	if res.Err != nil {
 		t.Fatalf("cell errored instead of diverging: %v", res.Err)
 	}
@@ -146,7 +146,7 @@ func TestFetchDivergenceDetected(t *testing.T) {
 func TestSquashDivergenceDetected(t *testing.T) {
 	cfg := quickCfg(5).withDefaults()
 	res := runCell(CellSpec{ISA: "alpha64", Kernel: "crc32", Class: ClassSquash}, cfg,
-		injectOpts{skipRestore: true}, 0, nil)
+		injectOpts{skipRestore: true})
 	if res.Err != nil {
 		t.Fatalf("cell errored instead of diverging: %v", res.Err)
 	}
@@ -192,7 +192,7 @@ func TestCampaignContainsPanickingCell(t *testing.T) {
 	// ...while a panic inside a cell is contained (drive runCell directly
 	// with a spec that makes program construction blow up downstream).
 	cfg := quickCfg(3).withDefaults()
-	res := runCell(CellSpec{ISA: "alpha64", Kernel: "no_such_kernel", Class: ClassLoad}, cfg, injectOpts{}, 0, nil)
+	res := runCell(CellSpec{ISA: "alpha64", Kernel: "no_such_kernel", Class: ClassLoad}, cfg, injectOpts{})
 	if res.Err == nil {
 		t.Fatal("bad cell reported no error")
 	}

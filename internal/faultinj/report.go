@@ -27,12 +27,10 @@ func (r *Report) Failures() []Result {
 	return out
 }
 
-// Record merges the campaign's outcome counters into reg, one counter
+// record merges the campaign's outcome counters into reg, one counter
 // family per fault class. Results are deterministic per seed, so the
 // counters inherit the report's byte-identity across worker counts.
-// Exported so fabric coordinators can mirror Run's counter semantics when
-// they assemble a Report from merged cells.
-func (r *Report) Record(reg *obs.Registry) {
+func (r *Report) record(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}

@@ -39,35 +39,7 @@ type Manifest struct {
 	// and wound down cleanly (manifest written, journal flushed).
 	Interrupted bool          `json:"interrupted,omitempty"`
 	Cells       []CellOutcome `json:"cells"`
-	// Fabric, when the run was a distributed-fabric coordinator, records the
-	// fleet membership and terminal lease state of every cell. The lease
-	// table's keys and states are deterministic; which worker resolved each
-	// cell (and the try counts) depend on placement and timing and are
-	// excluded from the determinism contract.
-	Fabric  *FabricSnapshot `json:"fabric,omitempty"`
-	Metrics Snapshot        `json:"metrics"`
-}
-
-// FabricSnapshot is the manifest record of a fabric coordinator's worker
-// fleet and lease table, taken after the sweep resolved.
-type FabricSnapshot struct {
-	// Fingerprint is the membership fingerprint workers must present.
-	Fingerprint string `json:"fingerprint"`
-	LeaseTTLMS  int64  `json:"lease_ttl_ms"`
-	MaxTries    int    `json:"max_tries"`
-	// Workers lists every worker id that ever joined, sorted.
-	Workers []string       `json:"workers"`
-	Leases  []LeaseOutcome `json:"leases"`
-}
-
-// LeaseOutcome is one cell's terminal lease-table entry.
-type LeaseOutcome struct {
-	Key   string `json:"key"`
-	State string `json:"state"` // "pending", "leased", or "done"
-	// Tries counts lease grants; Worker is the last holder. Both vary with
-	// placement and timing.
-	Tries  int    `json:"tries,omitempty"`
-	Worker string `json:"worker,omitempty"`
+	Metrics     Snapshot      `json:"metrics"`
 }
 
 // CellOutcome is the manifest record of one sweep or campaign cell.
