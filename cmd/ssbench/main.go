@@ -15,14 +15,11 @@
 //	ssbench -cell-timeout 30s -table 2          # watchdogged sweep
 //	ssbench -metric work -metrics-out metrics.json   # counters + manifest
 //	ssbench -table 2 -backend both              # interpreter vs. AOT runner parity sweep
-//	ssbench -resume-dir run1 -table 2           # durable sweep (journal)
-//	ssbench -resume-dir run1 -resume -table 2   # continue a killed sweep
 //	ssbench -pprof localhost:6060               # live profiling endpoint
 //
-// A durable sweep interrupted by SIGINT/SIGTERM winds down cleanly (cells
-// stop at the next watchdog check, the journal and manifest are flushed)
-// and exits 130/143; rerunning with -resume reloads the completed cells
-// and computes only the rest.
+// A sweep interrupted by SIGINT/SIGTERM winds down cleanly (cells stop at
+// the next watchdog check, and the tables and manifest are written with
+// those cells marked interrupted) and exits 130/143.
 package main
 
 import (
@@ -33,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -62,9 +58,6 @@ func main() {
 	cellTimeout := flag.Duration("cell-timeout", 0, "wall-clock watchdog per measurement cell (0 disables); hung cells are marked errored instead of stalling the sweep")
 	metricsOut := flag.String("metrics-out", "", "write a JSON run manifest + metrics snapshot to this file (see EXPERIMENTS.md)")
 	benchOut := flag.String("bench-out", "", "write the Table II speed grid as JSON (schema "+expt.BenchSchema+") to this file; see RESULTS.md")
-	resumeDir := flag.String("resume-dir", "", "directory holding the durable run journal; enables resumable sweeps (see EXPERIMENTS.md)")
-	resume := flag.Bool("resume", false, "continue the journal in -resume-dir: completed cells are reloaded, only the rest are computed")
-	ckptEvery := flag.Uint64("ckpt-every", 0, "capture an in-cell machine checkpoint every N simulated instructions (0 disables); transient cell retries then resume from the last checkpoint instead of rerunning the cell")
 	backendName := flag.String("backend", "interp", "Table II execution backend: interp (in-process), aot (generated runner binaries), or both (each cell measured twice, with a deterministic-parity check)")
 	aotCache := flag.String("aot-cache", "", "directory caching compiled AOT runner binaries (keyed by source hash); empty uses a per-run temporary cache")
 	aotPlugin := flag.Bool("aot-plugin", false, "load AOT runners in process via the Go plugin transport where the toolchain supports it, falling back to subprocess runners where it does not (results identical; see EXPERIMENTS.md)")
@@ -73,8 +66,8 @@ func main() {
 
 	// Signal handling: the first SIGINT/SIGTERM asks the sweep to wind down
 	// (running cells stop at the next cooperative watchdog check, then the
-	// journal and manifest are flushed and the process exits 130/143); a
-	// second signal falls back to default disposition and kills immediately.
+	// manifest is flushed and the process exits 130/143); a second signal
+	// falls back to default disposition and kills immediately.
 	interrupt := make(chan struct{})
 	var sigExit atomic.Int32
 	sigCh := make(chan os.Signal, 1)
@@ -105,23 +98,7 @@ func main() {
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
 		man = obs.NewManifest("ssbench")
-		man.Flags = map[string]string{
-			"table":        strconv.Itoa(*table),
-			"scale":        strconv.Itoa(*scale),
-			"dur":          dur.String(),
-			"ablations":    strconv.FormatBool(*ablate),
-			"parallel":     strconv.Itoa(*parallel),
-			"metric":       *metricName,
-			"faults":       strconv.FormatInt(*faultSeed, 10),
-			"fault-events": strconv.Itoa(*faultEvents),
-			"cell-timeout": cellTimeout.String(),
-			"resume-dir":   *resumeDir,
-			"resume":       strconv.FormatBool(*resume),
-			"ckpt-every":   strconv.FormatUint(*ckptEvery, 10),
-			"backend":      *backendName,
-			"aot-cache":    *aotCache,
-			"aot-plugin":   strconv.FormatBool(*aotPlugin),
-		}
+		flag.VisitAll(func(f *flag.Flag) { man.Flags[f.Name] = f.Value.String() })
 	}
 	// writeManifest flushes the manifest before any exit path; the snapshot
 	// is taken here, after all instrumented work has quiesced.
@@ -138,9 +115,6 @@ func main() {
 	}
 
 	if *faultSeed >= 0 {
-		if *resumeDir != "" {
-			fatal(fmt.Errorf("-resume-dir applies to table sweeps, not fault campaigns"))
-		}
 		runFaultCampaign(faultCampaignOpts{
 			seed: uint64(*faultSeed), events: *faultEvents, classSpec: *faultClasses,
 			workers: *parallel, sigExit: &sigExit,
@@ -158,29 +132,8 @@ func main() {
 		fatal(err)
 	}
 	cfg := expt.Config{Scale: *scale, MinDur: *dur, Workers: *parallel, Metric: metric,
-		CellTimeout: *cellTimeout, Obs: reg, CkptEvery: *ckptEvery, Interrupt: interrupt,
+		CellTimeout: *cellTimeout, Obs: reg, Interrupt: interrupt,
 		Backend: backend, AOTCacheDir: *aotCache, AOTPlugin: *aotPlugin}
-
-	// Durability: the run journal records each completed cell as it
-	// finishes; a rerun with -resume reloads them. The fingerprint refuses
-	// resuming under a configuration that would produce different cells.
-	var journal *expt.RunJournal
-	if *resumeDir != "" {
-		fp := expt.Fingerprint(fmt.Sprintf("table=%d,ablations=%t", *table, *ablate), cfg)
-		runID := fmt.Sprintf("%s-%d", time.Now().UTC().Format("20060102T150405Z"), os.Getpid())
-		journal, err = expt.OpenJournal(*resumeDir, runID, fp, *resume)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Journal = journal
-		if man != nil {
-			man.RunID = runID
-			man.ParentRunID = journal.ParentRunID()
-		}
-	}
-	// allCells accumulates every sweep cell for the manifest's resume
-	// lineage counts.
-	var allCells []expt.Cell
 
 	if *table == 0 || *table == 1 {
 		t1, err := expt.TableI()
@@ -202,7 +155,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		allCells = append(allCells, cells...)
 		if man != nil {
 			man.Cells = append(man.Cells, expt.Outcomes(cells)...)
 		}
@@ -244,29 +196,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		allCells = append(allCells, aCells...)
 		if man != nil {
 			man.Cells = append(man.Cells, expt.Outcomes(aCells)...)
 		}
 		fmt.Println(ta)
 		reportCellErrors(aCells)
 	}
-	if man != nil {
-		man.CellsRestored, man.CellsComputed = expt.SweepCounts(allCells)
-	}
-	// The journal keeps its first write error; a sweep whose journal
-	// stopped recording must not exit 0, or a later -resume would silently
-	// recompute the lost cells.
-	var journalErr error
-	if journal != nil {
-		journalErr = journal.Close()
-	}
 	writeManifest()
-	if journalErr != nil {
-		fatal(fmt.Errorf("run journal: %w", journalErr))
-	}
 	if code := sigExit.Load(); code != 0 {
-		fmt.Fprintln(os.Stderr, "ssbench: interrupted; journal and manifest flushed, rerun with -resume to continue")
+		fmt.Fprintln(os.Stderr, "ssbench: interrupted; manifest flushed")
 		os.Exit(int(code))
 	}
 	if sawCellErrors {

@@ -115,7 +115,7 @@ func BenchmarkDispatchBlock(b *testing.B) { benchDispatch(b, "block_min") }
 func BenchmarkDispatchOne(b *testing.B) { benchDispatch(b, "one_min") }
 
 // BenchmarkFlushLocal measures the cost of dropping the Exec's first-level
-// translation caches (the checkpoint-restore path).
+// translation caches.
 func BenchmarkFlushLocal(b *testing.B) {
 	spec, err := lis.Parse("toy.lis", toySrc)
 	if err != nil {

@@ -575,9 +575,9 @@ func (s *Sim) NewExec(m *mach.Machine) *Exec {
 func (x *Exec) Work() uint64 { return x.work }
 
 // FlushLocal drops the Exec's first-level translation caches. Callers that
-// rewrite machine memory behind the Exec's back — checkpoint restore — use
-// it to guarantee no stale translation survives, independent of the
-// page-generation arithmetic that normally invalidates entries. The shared
+// rewrite machine memory behind the Exec's back use it to guarantee no
+// stale translation survives, independent of the page-generation
+// arithmetic that normally invalidates entries. The shared
 // second-level cache needs no flush: its entries are bits-validated on
 // every hit.
 //

@@ -19,7 +19,6 @@ import (
 	"singlespec/internal/aot"
 	"singlespec/internal/core"
 	"singlespec/internal/mach"
-	"singlespec/internal/stats"
 )
 
 // Backend selects which execution engine measures sweep cells.
@@ -86,15 +85,14 @@ func defaultAOTCache() string {
 }
 
 // measureCellAOT is measureCell's out-of-process twin: one (ISA, interface)
-// cell measured through the generated runner binary. The schedule mirrors
-// the interpreter path — per kernel one warmup run, then measured runs
-// until minDur (det: exactly one) — and each kernel gets a fresh runner
-// process, since runner memory pages persist across in-process resets.
+// cell measured through the generated runner binary. The schedule is the
+// interpreter path's (kernelSamples.measure), timed by the runner's own
+// clock, and each kernel gets a fresh runner process, since runner memory
+// pages persist across in-process resets.
 //
-// The instruction budget is enforced by the runner itself (it counts
-// retired instructions per attempt), so a runaway program is bounded even
-// though the host cannot preempt the subprocess mid-run; the wall-clock
-// deadline is checked between runs.
+// The host cannot preempt a run in progress: a subprocess run is bounded
+// by the per-exchange hard deadline below, and the cell deadline is
+// checked between runs.
 func measureCellAOT(p *Programs, buildset string, opts core.Options, minDur time.Duration, lim Limits, det bool, cfg Config) (Cell, error) {
 	sim, err := core.Synthesize(p.ISA.Spec, buildset, opts)
 	if err != nil {
@@ -144,8 +142,7 @@ func measureCellAOT(p *Programs, buildset string, opts core.Options, minDur time
 	}
 
 	cell := Cell{ISA: p.ISA.Name, Buildset: buildset, Backend: "aot"}
-	var used uint64
-	var mips, ns, work []float64
+	var k kernelSamples
 	for idx, prog := range p.Progs {
 		kname := p.Names[idx]
 		err := func() error {
@@ -153,7 +150,7 @@ func measureCellAOT(p *Programs, buildset string, opts core.Options, minDur time
 			// pages persist across in-process resets), or an exclusive
 			// plugin session whose Init performs the same hard reset. The
 			// pipe watchdog only applies to the subprocess transport; the
-			// in-process plugin is bounded by the instruction budget alone.
+			// in-process plugin has no per-run bound.
 			var r aot.Client
 			if ph != nil {
 				r = ph.Session()
@@ -168,25 +165,18 @@ func measureCellAOT(p *Programs, buildset string, opts core.Options, minDur time
 			if err := r.Init(prog, nil); err != nil {
 				return fmt.Errorf("%s: %w", kname, err)
 			}
-			runOnce := func() (instrs, wk, elapsedNs uint64, err error) {
-				budget := uint64(1) << 62
-				if lim.MaxInstr > 0 {
-					if used >= lim.MaxInstr {
-						return 0, 0, 0, fmt.Errorf("expt: %s/%s: %w after %d instructions",
-							p.ISA.Name, buildset, errBudget, used)
-					}
-					budget = lim.MaxInstr - used
-				}
-				res, err := r.Run(budget, false, 0)
+			runOnce := func() (instrs, wk uint64, elapsed time.Duration, err error) {
+				res, err := r.Run(aotRunBudget, false, 0)
 				if err != nil {
 					return 0, 0, 0, err
 				}
-				used += res.Instret
 				cell.Instret += res.Instret
 				switch {
 				case !res.Halted && res.Fault == mach.FaultNone:
-					return 0, 0, 0, fmt.Errorf("expt: %s/%s: %w after %d instructions",
-						p.ISA.Name, buildset, errBudget, used)
+					// The runner is another process: a reply that neither
+					// halted nor faulted is malformed input, not a result.
+					return 0, 0, 0, fmt.Errorf("expt: %s/%s: runner stopped at pc %#x after %d instructions without halting or faulting",
+						p.ISA.Name, buildset, res.PC, res.Instret)
 				case !res.Halted:
 					return 0, 0, 0, fmt.Errorf("expt: %s/%s faulted (%d) at pc %#x",
 						p.ISA.Name, buildset, res.Fault, res.PC)
@@ -198,48 +188,21 @@ func measureCellAOT(p *Programs, buildset string, opts core.Options, minDur time
 					return 0, 0, 0, err
 				}
 				cell.WorkUnits += w
-				return maxU64(res.Instret, 1), w, maxU64(res.ElapsedNs, 1), nil
+				return maxU64(res.Instret, 1), w, time.Duration(maxU64(res.ElapsedNs, 1)), nil
 			}
-			// Warmup: validates the program under this runner and charges the
-			// cell totals, exactly like the interpreter path.
-			if _, _, _, err := runOnce(); err != nil {
-				return err
-			}
-			var curInstrs, curWork uint64
-			var curElapsed time.Duration
-			for {
-				in, wk, el, err := runOnce()
-				if err != nil {
-					return err
-				}
-				curInstrs += in
-				curWork += wk
-				curElapsed += time.Duration(el)
-				if det {
-					break
-				}
-				if curElapsed >= minDur {
-					break
-				}
-				if !lim.Deadline.IsZero() && !time.Now().Before(lim.Deadline) {
-					break
-				}
-			}
-			nsPer := float64(curElapsed.Nanoseconds()) / float64(curInstrs)
-			mips = append(mips, 1e3/nsPer)
-			ns = append(ns, nsPer)
-			work = append(work, float64(curWork)/float64(curInstrs))
-			return nil
+			return k.measure(runOnce, minDur, lim, det)
 		}()
 		if err != nil {
 			return Cell{}, err
 		}
 	}
-	cell.MIPS = stats.GeoMean(mips)
-	cell.NsPerInstr = stats.GeoMean(ns)
-	cell.WorkPerInstr = stats.GeoMean(work)
+	k.fill(&cell)
 	return cell, nil
 }
+
+// aotRunBudget is the instruction budget of every AOT run: in effect
+// unbounded, so a run ends only when the program halts or faults.
+const aotRunBudget = 1 << 62
 
 // aotHardDeadline is the default hard per-exchange deadline for runner
 // processes when no -cell-timeout is set. Generous — cells finish in
@@ -251,13 +214,6 @@ func maxU64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// IsNoToolchain reports whether a cell failed because runner binaries
-// cannot be built on this host (no go toolchain on PATH), so callers can
-// skip rather than fail.
-func IsNoToolchain(c Cell) bool {
-	return c.Err != nil && errors.Is(c.Err, aot.ErrNoToolchain)
 }
 
 // VerifyBackendParity checks a both-backend sweep's deterministic parity:

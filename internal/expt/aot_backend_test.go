@@ -25,7 +25,7 @@ func TestAOTBackendCellParity(t *testing.T) {
 	}
 	cfg := Config{Metric: MetricWork, AOTCacheDir: t.TempDir()}
 	for _, bs := range []string{"one_min", "block_all", "step_all"} {
-		ref, err := measureCell(progs, bs, core.Options{}, time.Millisecond, Limits{}, true, nil)
+		ref, err := measureCell(progs, bs, core.Options{}, time.Millisecond, Limits{}, true)
 		if err != nil {
 			t.Fatalf("%s: interp: %v", bs, err)
 		}
@@ -70,24 +70,6 @@ func TestVerifyBackendParity(t *testing.T) {
 	}
 	if errs := VerifyBackendParity(totals, false); len(errs) != 0 {
 		t.Fatalf("totals must not be compared outside the det schedule: %v", errs)
-	}
-}
-
-// TestCellJobKeyBackend pins the journal identity contract: interpreter
-// keys are unchanged from pre-AOT journals, AOT jobs get their own keys.
-func TestCellJobKeyBackend(t *testing.T) {
-	i, err := isa.Load("alpha64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &Programs{ISA: i}
-	interp := cellJob{progs: p, buildset: "one_min"}
-	aotJob := cellJob{progs: p, buildset: "one_min", backend: BackendAOT}
-	if interp.key() == aotJob.key() {
-		t.Fatal("interp and aot jobs share a journal key")
-	}
-	if want := "alpha64/one_min/{NoTranslate:false NoDCE:false ForceRecords:false MaxBlockLen:0 CacheCap:0}"; interp.key() != want {
-		t.Fatalf("interp key changed: %q (pre-AOT journals would not resume)", interp.key())
 	}
 }
 

@@ -62,6 +62,15 @@ func (m Metric) value(c Cell) float64 {
 	return c.MIPS
 }
 
+// entry is what a table shows for c under this metric: its value, or the
+// error marker of a failed cell.
+func (m Metric) entry(c Cell) any {
+	if c.Err != nil {
+		return errMark(c.Err)
+	}
+	return m.value(c)
+}
+
 // Config configures an experiment-engine run.
 type Config struct {
 	// Scale multiplies kernel problem sizes (see Mix).
@@ -79,26 +88,9 @@ type Config struct {
 	// cooperative (see RunLimited), so it catches runaway simulated
 	// programs, not arbitrary host-code hangs.
 	CellTimeout time.Duration
-	// MaxCellInstr caps simulated instructions per cell (cumulative over
-	// the cell's kernels and repeat runs); 0 means unlimited. Budget
-	// violations are deterministic and are not retried.
-	MaxCellInstr uint64
-	// Journal, when non-nil, makes the sweep durable: each cell that
-	// completes with a deterministic outcome (ok, failed, budget) is
-	// appended to the journal, and cells already present in it are reloaded
-	// instead of recomputed — the resume path. Transient outcomes (panic,
-	// timeout, interrupted) are never journaled, so a resumed run computes
-	// them fresh.
-	Journal *RunJournal
-	// CkptEvery, when > 0, captures an in-cell machine checkpoint roughly
-	// every that many retired instructions; the guarded retry of a
-	// transient cell failure then resumes from the last checkpoint instead
-	// of re-running the cell from zero.
-	CkptEvery uint64
 	// Interrupt, when non-nil, winds the sweep down once the channel is
 	// closed: running cells stop at the next watchdog check and unstarted
-	// cells are marked interrupted without running. Interrupted cells are
-	// not journaled; a resumed run computes them.
+	// cells are marked interrupted without running.
 	Interrupt <-chan struct{}
 	// Backend selects the execution engine measuring TableII cells: the
 	// in-process interpreter (default), the generated AOT runner binary, or
@@ -125,7 +117,7 @@ type Config struct {
 	// Tests inject panics and hangs through it to exercise containment.
 	testHook func(isaName, buildset string, attempt int)
 	// testChunkHook, when non-nil, runs at every RunLimited chunk boundary.
-	// Tests inject mid-run panics through it to exercise checkpoint resume.
+	// Tests inject mid-run interrupts through it.
 	testChunkHook func(r *Runner)
 }
 
@@ -156,39 +148,6 @@ type cellJob struct {
 	// backend is BackendInterp or BackendAOT per job; BackendBoth fans out
 	// into one job of each before scheduling.
 	backend Backend
-}
-
-// key is the job's stable identity in the run journal. Options are part of
-// it: the ablation sweep measures the same (ISA, buildset) under several
-// option sets and each is its own cell. AOT jobs are suffixed so a both-
-// backend sweep journals the two measurements separately (interpreter keys
-// are unchanged from pre-AOT journals).
-//
-// The key format is a compatibility contract: it names cells in resume
-// journals, so it must not change across versions — a changed key
-// silently orphans every journaled cell and forces recomputation. The
-// options portion is therefore an explicit field-by-field canonical
-// encoding (see canonicalOpts), not a reflective dump of core.Options.
-func (j cellJob) key() string {
-	k := j.progs.ISA.Name + "/" + j.buildset + "/" + canonicalOpts(j.opts)
-	if j.backend == BackendAOT {
-		k += "/aot"
-	}
-	return k
-}
-
-// canonicalOpts renders core.Options in the key's canonical form. The
-// format is frozen: it byte-matches the fmt %+v rendering the key
-// historically used, so journals written by earlier versions still
-// resolve. It deliberately names each field: adding, removing, or
-// reordering fields in core.Options no longer changes existing keys out
-// from under the journals. A new option field that affects measurement
-// must be appended here explicitly — and only with a migration story for
-// old journals (TestJobSpecKeyGolden and TestJobSpecKeyCoversOptions
-// enforce both directions).
-func canonicalOpts(o core.Options) string {
-	return fmt.Sprintf("{NoTranslate:%t NoDCE:%t ForceRecords:%t MaxBlockLen:%d CacheCap:%d}",
-		o.NoTranslate, o.NoDCE, o.ForceRecords, o.MaxBlockLen, o.CacheCap)
 }
 
 // interrupted reports whether ch (which may be nil) has been closed.
@@ -233,14 +192,6 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
 			defer wg.Done()
 			for idx := range idxCh {
 				j := jobs[idx]
-				// Resume: a cell the journal already holds is reloaded, not
-				// recomputed.
-				if cfg.Journal != nil {
-					if c, ok := cfg.Journal.Lookup(j.key()); ok {
-						results[idx] = c
-						continue
-					}
-				}
 				// Shutdown: unstarted cells are marked, not run.
 				if interrupted(cfg.Interrupt) {
 					results[idx] = Cell{ISA: j.progs.ISA.Name, Buildset: j.buildset,
@@ -253,41 +204,12 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
 				c := runCellGuarded(j, cfg, minDur)
 				c.QueueWait = wait
 				results[idx] = c
-				if cfg.Journal != nil && deterministicOutcome(c) {
-					// A journal write error must not fail the sweep: the
-					// cell's result stands, only durability is lost. The
-					// journal keeps the error and its Close reports it.
-					_ = cfg.Journal.Record(j.key(), c)
-				}
 			}
 		}()
 	}
 	wg.Wait()
 	recordCells(cfg.Obs, results)
 	return results
-}
-
-// deterministicOutcome reports whether a cell's result is safe to journal:
-// ok cells and deterministic failures reproduce identically on a resumed
-// run, while panics, timeouts, and interrupts must be recomputed.
-func deterministicOutcome(c Cell) bool {
-	if c.Err == nil {
-		return true
-	}
-	return c.Err.Kind == CellFailed || c.Err.Kind == CellBudget
-}
-
-// SweepCounts summarizes a sweep's resume lineage: how many cells were
-// reloaded from the journal versus computed (or attempted) by this process.
-func SweepCounts(cells []Cell) (restored, computed int) {
-	for _, c := range cells {
-		if c.Restored {
-			restored++
-		} else {
-			computed++
-		}
-	}
-	return restored, computed
 }
 
 // workPerInstrBuckets bounds the per-cell work-units-per-instruction
@@ -365,7 +287,6 @@ func Outcomes(cells []Cell) []obs.CellOutcome {
 			WorkUnits:   c.WorkUnits,
 			WallMS:      float64(c.Wall.Microseconds()) / 1e3,
 			QueueWaitMS: float64(c.QueueWait.Microseconds()) / 1e3,
-			Restored:    c.Restored,
 		})
 	}
 	return out
@@ -439,12 +360,6 @@ func renderTableII(cfg Config, cells []Cell) *stats.Table {
 		}
 		byBS[k][c.ISA] = c
 	}
-	val := func(c Cell) any {
-		if c.Err != nil {
-			return errMark(c.Err)
-		}
-		return cfg.Metric.value(c)
-	}
 	// Columns come from the same isa.Names() list buildAllMixes sweeps: a
 	// newly registered ISA lands in the rendered table and geomeans the
 	// moment it is swept, instead of being measured and silently dropped.
@@ -460,7 +375,7 @@ func renderTableII(cfg Config, cells []Cell) *stats.Table {
 			row := byBS[bs+"/"+tag]
 			out := []any{sem, info, spec}
 			for _, name := range names {
-				out = append(out, val(row[name]))
+				out = append(out, cfg.Metric.entry(row[name]))
 			}
 			t.Row(out...)
 		}
@@ -491,7 +406,7 @@ func renderTableII(cfg Config, cells []Cell) *stats.Table {
 // translated vs. interpreted base cost (paper footnote 5), DCE on/off,
 // forced per-instruction block records — across cfg's worker pool. Like
 // TableII it returns the raw cells alongside the rendered table, so
-// callers can fold them into run manifests and resume-lineage counts.
+// callers can fold them into run manifests.
 func Ablations(cfg Config) ([]Cell, *stats.Table, error) {
 	type variant struct {
 		label string

@@ -75,13 +75,6 @@ func BuildMix(i *isa.ISA, scale int) (*Programs, error) {
 	return out, nil
 }
 
-// RunOnce executes one assembled program to completion on a fresh machine
-// and returns retired instructions and accumulated work units.
-func RunOnce(sim *core.Sim, i *isa.ISA, prog *asm.Program) (instrs, work uint64, err error) {
-	r := NewRunner(sim, i, prog)
-	return r.Run()
-}
-
 // Runner repeatedly executes one program on one synthesized simulator,
 // resetting architectural state between runs while keeping the translation
 // caches warm (so translation amortizes, as in the paper's 4-billion-
@@ -93,17 +86,11 @@ type Runner struct {
 	m     *mach.Machine
 	emu   *sysemu.Emulator
 	x     *core.Exec
-	runs  int
+	ran   bool
 	prevW uint64
 	// checks counts cooperative watchdog checks (one per execution chunk
 	// RunLimited dispatched); deterministic for a fixed instruction stream.
 	checks uint64
-	// resumed marks the runner as primed with a mid-run checkpoint (see
-	// restoreFrom): the next RunLimited call continues that run instead of
-	// resetting, and resumeWork is the work the run had already accumulated
-	// before the restore point.
-	resumed    bool
-	resumeWork uint64
 }
 
 // NewRunner binds a simulator, ISA, and program.
@@ -173,9 +160,6 @@ type Cell struct {
 	// Stats aggregates the cell's engine counters; deterministic under
 	// MetricWork.
 	Stats CellStats
-	// Restored marks a cell reloaded from a resume journal rather than
-	// computed by this process.
-	Restored bool
 }
 
 // CellStats aggregates one cell's engine counters across its kernels and
@@ -211,47 +195,12 @@ func (s *CellStats) merge(r *Runner) {
 // MeasureCell times one (ISA, interface) pair over the mix. Each kernel
 // runs repeatedly until minDur has elapsed (one warmup run first).
 func MeasureCell(p *Programs, buildset string, opts core.Options, minDur time.Duration) (Cell, error) {
-	return measureCell(p, buildset, opts, minDur, Limits{}, false, nil)
+	return measureCell(p, buildset, opts, minDur, Limits{}, false)
 }
 
-// cellProgress is the durable-within-process state of one cell
-// measurement, owned by runCellGuarded and threaded through every attempt.
-// measureCell commits into it at run and kernel boundaries, so when an
-// attempt dies mid-cell the retry skips the finished kernels, replays the
-// committed per-kernel accumulators, and — when an in-cell checkpoint was
-// captured — resumes the in-flight run from that checkpoint instead of
-// from zero.
-type cellProgress struct {
-	// kernelsDone counts fully completed kernels (their geomean inputs and
-	// stats are committed below).
-	kernelsDone int
-	// used is the cell-wide instruction total (budget accounting).
-	used uint64
-	// instret/workUnits are the cell's raw totals, committed at run ends.
-	instret, workUnits uint64
-	// mips/ns/work are the per-kernel geomean inputs, committed at kernel
-	// ends.
-	mips, ns, work []float64
-	// stats holds the committed kernels' counters.
-	stats CellStats
-	// Current-kernel state: whether its warmup completed, and the measured
-	// runs committed so far.
-	warmupDone bool
-	curInstrs  uint64
-	curWork    uint64
-	curElapsed time.Duration
-	// ckpt is the last in-cell checkpoint of the in-flight run, in the
-	// serialized binary format (so restoring it exercises the same
-	// validation path as an on-disk checkpoint); ckptKernel is the kernel
-	// it belongs to (-1 when none).
-	ckpt       []byte
-	ckptKernel int
-}
-
-// measureCell is MeasureCell bounded by lim: the instruction budget is
-// cumulative over the cell's kernels and repeat runs, and the deadline both
-// cuts off further repeat runs (gracefully, keeping the measurements made)
-// and interrupts a run that overstays it (as an error).
+// measureCell is MeasureCell bounded by lim: the deadline both cuts off
+// further repeat runs (gracefully, keeping the measurements made) and
+// interrupts a run that overstays it (as an error).
 //
 // det selects the deterministic schedule the work metric reports under:
 // one warmup run plus exactly one measured run per kernel, regardless of
@@ -259,115 +208,80 @@ type cellProgress struct {
 // stream, which is what makes -metrics-out byte-identical across -parallel
 // values and hosts (the wall-clock repeat loop would tie run counts — and
 // so counter totals — to host speed).
-//
-// cp, when non-nil, carries committed progress from a previous attempt of
-// the same cell and receives this attempt's progress; nil measures from
-// scratch with no checkpointing.
-func measureCell(p *Programs, buildset string, opts core.Options, minDur time.Duration, lim Limits, det bool, cp *cellProgress) (Cell, error) {
+func measureCell(p *Programs, buildset string, opts core.Options, minDur time.Duration, lim Limits, det bool) (Cell, error) {
 	sim, err := core.Synthesize(p.ISA.Spec, buildset, opts)
 	if err != nil {
 		return Cell{}, err
 	}
-	if cp == nil {
-		cp = &cellProgress{ckptKernel: -1}
-		lim.ckptEvery = 0
-	}
 	cell := Cell{ISA: p.ISA.Name, Buildset: buildset}
-	runOnce := func(runner *Runner) (uint64, uint64, error) {
-		rl := lim
-		if lim.MaxInstr > 0 {
-			if cp.used >= lim.MaxInstr {
-				return 0, 0, fmt.Errorf("expt: %s/%s: %w after %d instructions",
-					p.ISA.Name, buildset, errBudget, cp.used)
-			}
-			rl.MaxInstr = lim.MaxInstr - cp.used
-		}
-		in, wk, err := runner.RunLimited(rl)
-		cp.used += in
-		cp.instret += in
-		cp.workUnits += wk
-		if err == nil {
-			// A completed run supersedes any mid-run checkpoint. On error
-			// the checkpoint stays: it is the retry's resume point.
-			cp.ckpt, cp.ckptKernel = nil, -1
-		}
-		return in, wk, err
-	}
+	var k kernelSamples
 	for idx, prog := range p.Progs {
-		if idx < cp.kernelsDone {
-			continue // committed by a previous attempt
-		}
 		runner := NewRunner(sim, p.ISA, prog)
-		if lim.ckptEvery > 0 {
-			idx := idx
-			lim.ckptSink = func(rc *runCheckpoint) {
-				if b, err := rc.encode(); err == nil {
-					cp.ckpt, cp.ckptKernel = b, idx
-				}
-			}
-		}
-		if cp.ckpt != nil && cp.ckptKernel == idx {
-			// A previous attempt died mid-run in this kernel: resume its
-			// in-flight run from the last checkpoint. The restore validates
-			// the serialized bytes in full; damage means we fall back to
-			// running this kernel's remaining runs from scratch.
-			if rc, err := decodeRunCheckpoint(cp.ckpt); err == nil {
-				if err := runner.restoreFrom(rc); err != nil {
-					runner = NewRunner(sim, p.ISA, prog)
-				}
-			}
-			cp.ckpt, cp.ckptKernel = nil, -1
-		}
-		// Warmup (also validates, and fills the translation caches). A
-		// runner resumed mid-warmup finishes that warmup here; one resumed
-		// mid-measured-run has warmupDone set and skips straight down.
-		if !cp.warmupDone {
-			if _, _, err := runOnce(runner); err != nil {
-				return Cell{}, fmt.Errorf("%s: %w", p.Names[idx], err)
-			}
-			cp.warmupDone = true
-		}
-		for {
+		runOnce := func() (instrs, wk uint64, elapsed time.Duration, err error) {
 			start := time.Now()
-			in, wk, err := runOnce(runner)
+			instrs, wk, err = runner.RunLimited(lim)
 			if err != nil {
-				return Cell{}, fmt.Errorf("%s: %w", p.Names[idx], err)
+				return 0, 0, 0, fmt.Errorf("%s: %w", p.Names[idx], err)
 			}
-			cp.curElapsed += time.Since(start)
-			cp.curInstrs += in
-			cp.curWork += wk
-			if det {
-				break // fixed schedule: counters stay host-independent
-			}
-			if cp.curElapsed >= minDur {
-				break
-			}
-			if !lim.Deadline.IsZero() && !time.Now().Before(lim.Deadline) {
-				break // keep what we measured; the watchdog is about hangs
-			}
+			cell.Instret += instrs
+			cell.WorkUnits += wk
+			return instrs, wk, time.Since(start), nil
 		}
-		cp.stats.merge(runner)
-		elapsed := cp.curElapsed
-		if elapsed <= 0 {
-			// Timer granularity floor: keeps the geomean inputs positive.
-			elapsed = time.Nanosecond
+		if err := k.measure(runOnce, minDur, lim, det); err != nil {
+			return Cell{}, err
 		}
-		ns := float64(elapsed.Nanoseconds()) / float64(cp.curInstrs)
-		cp.mips = append(cp.mips, 1e3/ns)
-		cp.ns = append(cp.ns, ns)
-		cp.work = append(cp.work, float64(cp.curWork)/float64(cp.curInstrs))
-		// Kernel boundary: commit and clear the current-kernel state.
-		cp.kernelsDone = idx + 1
-		cp.warmupDone = false
-		cp.curInstrs, cp.curWork, cp.curElapsed = 0, 0, 0
+		cell.Stats.merge(runner)
 	}
-	cell.Instret, cell.WorkUnits = cp.instret, cp.workUnits
-	cell.Stats = cp.stats
 	cell.Stats.Shared = sim.SharedCacheStats()
-	cell.MIPS = stats.GeoMean(cp.mips)
-	cell.NsPerInstr = stats.GeoMean(cp.ns)
-	cell.WorkPerInstr = stats.GeoMean(cp.work)
+	k.fill(&cell)
 	return cell, nil
+}
+
+// kernelSamples collects the per-kernel geomean inputs of one cell.
+type kernelSamples struct{ mips, ns, work []float64 }
+
+// measure runs one kernel's schedule on either backend: a warmup run
+// (which validates the program and warms the caches), then measured runs
+// until minDur has elapsed — exactly one under det — or the deadline
+// passes. runOnce executes the program once and reports its retired
+// instructions, work units and host time.
+func (k *kernelSamples) measure(runOnce func() (instrs, work uint64, elapsed time.Duration, err error), minDur time.Duration, lim Limits, det bool) error {
+	if _, _, _, err := runOnce(); err != nil {
+		return err
+	}
+	var instrs, work uint64
+	var elapsed time.Duration
+	for {
+		in, wk, el, err := runOnce()
+		if err != nil {
+			return err
+		}
+		instrs += in
+		work += wk
+		elapsed += el
+		if det || elapsed >= minDur {
+			break // det: a fixed schedule keeps the counters host-independent
+		}
+		if !lim.Deadline.IsZero() && !time.Now().Before(lim.Deadline) {
+			break // keep what we measured; the watchdog is about hangs
+		}
+	}
+	if elapsed <= 0 {
+		// Timer granularity floor: keeps the geomean inputs positive.
+		elapsed = time.Nanosecond
+	}
+	ns := float64(elapsed.Nanoseconds()) / float64(instrs)
+	k.mips = append(k.mips, 1e3/ns)
+	k.ns = append(k.ns, ns)
+	k.work = append(k.work, float64(work)/float64(instrs))
+	return nil
+}
+
+// fill sets the cell's speed metrics to the geomeans over its kernels.
+func (k *kernelSamples) fill(c *Cell) {
+	c.MIPS = stats.GeoMean(k.mips)
+	c.NsPerInstr = stats.GeoMean(k.ns)
+	c.WorkPerInstr = stats.GeoMean(k.work)
 }
 
 // cellGeoMean returns the geometric mean of the metric over the ok cells
@@ -463,51 +377,52 @@ func find(cells []Cell, isaName, bs string) Cell {
 // TableIII derives the costs of detail from Table II measurements:
 // base = One/Min/No; increments are differences, in host-ns per simulated
 // instruction (stand-in for the paper's host instructions) and in
-// deterministic work units.
+// deterministic work units. An entry with a failed input cell shows that
+// cell's error marker instead of a difference against zeroed metrics.
 func TableIII(cells []Cell) *stats.Table {
 	t := stats.NewTable(append([]string{"Cost (ns/instr | work/instr)"}, isa.Names()...)...)
-	row := func(label string, f func(isaName string) (float64, float64)) {
-		cellsOut := []any{label}
+	// Each row is the cost of cell bs, less that of cell ref when set.
+	for _, r := range []struct{ label, bs, ref string }{
+		{"Base cost (One/Min/No)", "one_min", ""},
+		{"Incremental: decode information", "one_decode", "one_min"},
+		{"Incremental: full information", "one_all", "one_min"},
+		{"Incremental: block-call", "block_min", "one_min"},
+		{"Incremental: multiple calls (Step)", "step_all", "one_all"},
+		{"Incremental: speculation", "one_all_spec", "one_all"},
+	} {
+		row := []any{r.label}
 		for _, name := range isa.Names() {
-			ns, work := f(name)
-			cellsOut = append(cellsOut, fmt.Sprintf("%s | %s", stats.FormatSig(ns, 3), stats.FormatSig(work, 3)))
+			row = append(row, costEntry(cells, name, r.bs, r.ref))
 		}
-		t.Row(cellsOut...)
+		t.Row(row...)
 	}
-	base := func(n string) Cell { return find(cells, n, "one_min") }
-	row("Base cost (One/Min/No)", func(n string) (float64, float64) {
-		c := base(n)
-		return c.NsPerInstr, c.WorkPerInstr
-	})
-	row("Incremental: decode information", func(n string) (float64, float64) {
-		c := find(cells, n, "one_decode")
-		return c.NsPerInstr - base(n).NsPerInstr, c.WorkPerInstr - base(n).WorkPerInstr
-	})
-	row("Incremental: full information", func(n string) (float64, float64) {
-		c := find(cells, n, "one_all")
-		return c.NsPerInstr - base(n).NsPerInstr, c.WorkPerInstr - base(n).WorkPerInstr
-	})
-	row("Incremental: block-call", func(n string) (float64, float64) {
-		c := find(cells, n, "block_min")
-		return c.NsPerInstr - base(n).NsPerInstr, c.WorkPerInstr - base(n).WorkPerInstr
-	})
-	row("Incremental: multiple calls (Step)", func(n string) (float64, float64) {
-		c := find(cells, n, "step_all")
-		a := find(cells, n, "one_all")
-		return c.NsPerInstr - a.NsPerInstr, c.WorkPerInstr - a.WorkPerInstr
-	})
-	row("Incremental: speculation", func(n string) (float64, float64) {
-		c := find(cells, n, "one_all_spec")
-		a := find(cells, n, "one_all")
-		return c.NsPerInstr - a.NsPerInstr, c.WorkPerInstr - a.WorkPerInstr
-	})
 	return t
+}
+
+// costEntry renders one Table III entry: cell bs's ns and work per
+// instruction, less ref's when ref is set.
+func costEntry(cells []Cell, isaName, bs, ref string) string {
+	c := find(cells, isaName, bs)
+	if c.Err != nil {
+		return errMark(c.Err)
+	}
+	ns, work := c.NsPerInstr, c.WorkPerInstr
+	if ref != "" {
+		b := find(cells, isaName, ref)
+		if b.Err != nil {
+			return errMark(b.Err)
+		}
+		ns -= b.NsPerInstr
+		work -= b.WorkPerInstr
+	}
+	return stats.FormatSig(ns, 3) + " | " + stats.FormatSig(work, 3)
 }
 
 // Headline computes the paper's headline ratio: fastest (Block/Min) over
 // slowest (Step/All/Yes) interface, per ISA, in the given metric. Under
 // MetricWork the ratio is slow/fast work units (higher work = slower), so
 // both metrics report "how much faster is the lowest-detail interface".
+// A failed cell shows its error marker, and so does the ratio it feeds.
 func Headline(cells []Cell, metric Metric) *stats.Table {
 	unit := "MIPS"
 	if metric == MetricWork {
@@ -517,15 +432,24 @@ func Headline(cells []Cell, metric Metric) *stats.Table {
 	for _, name := range isa.Names() {
 		fast := find(cells, name, "block_min")
 		slow := find(cells, name, "step_all_spec")
-		fv, sv := metric.value(fast), metric.value(slow)
-		ratio := 0.0
+		var speedup string
 		switch {
-		case metric == MetricWork && fv > 0:
-			ratio = sv / fv
-		case metric == MetricMIPS && sv > 0:
-			ratio = fv / sv
+		case fast.Err != nil:
+			speedup = errMark(fast.Err)
+		case slow.Err != nil:
+			speedup = errMark(slow.Err)
+		default:
+			fv, sv := metric.value(fast), metric.value(slow)
+			ratio := 0.0
+			switch {
+			case metric == MetricWork && fv > 0:
+				ratio = sv / fv
+			case metric == MetricMIPS && sv > 0:
+				ratio = fv / sv
+			}
+			speedup = fmt.Sprintf("%.1fx", ratio)
 		}
-		t.Row(name, fv, sv, fmt.Sprintf("%.1fx", ratio))
+		t.Row(name, metric.entry(fast), metric.entry(slow), speedup)
 	}
 	return t
 }

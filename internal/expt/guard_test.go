@@ -3,6 +3,8 @@ package expt
 import (
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,45 +89,84 @@ func TestSweepSurvivesPanickingCell(t *testing.T) {
 	}
 }
 
-// TestCellRetryRecoversTransientPanic panics only on the first attempt: the
-// bounded retry must produce a clean measurement.
+// TestCellRetryRecoversTransientPanic panics once, mid-cell, after the
+// first attempt has measured part of the mix: the bounded retry must
+// re-measure the cell from scratch and report exactly the clean run's
+// deterministic totals, with Attempts = 2.
 func TestCellRetryRecoversTransientPanic(t *testing.T) {
-	progs := testMix(t)
+	jobs := []cellJob{{progs: testMix(t), buildset: "one_min"}}
+	clean := runCells(jobs, Config{Metric: MetricWork}, 0)
+	if clean[0].Err != nil {
+		t.Fatal(clean[0].Err)
+	}
+	var chunks atomic.Int64
 	cfg := Config{
-		testHook: func(isaName, buildset string, attempt int) {
-			if attempt == 1 {
+		Metric: MetricWork,
+		testChunkHook: func(r *Runner) {
+			if chunks.Add(1) == 3 {
 				panic("transient")
 			}
 		},
 	}
-	cells := runCells([]cellJob{{progs: progs, buildset: "one_min"}}, cfg, 0)
-	if cells[0].Err != nil {
-		t.Fatalf("retry did not recover: %v", cells[0].Err)
+	c := runCells(jobs, cfg, 0)[0]
+	if c.Err != nil {
+		t.Fatalf("retry did not recover: %v", c.Err)
 	}
-	if cells[0].WorkPerInstr <= 0 {
-		t.Error("recovered cell has no measurement")
+	if c.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2", c.Attempts)
+	}
+	if c.Instret != clean[0].Instret {
+		t.Errorf("instret %d differs from clean run %d", c.Instret, clean[0].Instret)
+	}
+	if c.WorkUnits != clean[0].WorkUnits {
+		t.Errorf("work units %d differ from clean run %d", c.WorkUnits, clean[0].WorkUnits)
+	}
+	if c.WorkPerInstr != clean[0].WorkPerInstr {
+		t.Errorf("work/instr %v differs from clean run %v", c.WorkPerInstr, clean[0].WorkPerInstr)
 	}
 }
 
-// TestCellInstructionBudget gives a cell a budget far below what the mix
-// needs; the violation must be typed CellBudget and must not be retried
-// (it is deterministic).
-func TestCellInstructionBudget(t *testing.T) {
+// TestInterruptedSweepWindsDown closes the interrupt channel before the
+// sweep starts: every cell must be marked interrupted without running.
+func TestInterruptedSweepWindsDown(t *testing.T) {
 	progs := testMix(t)
-	cfg := Config{MaxCellInstr: 100}
+	var jobs []cellJob
+	for _, bs := range []string{"one_min", "block_min", "one_all"} {
+		jobs = append(jobs, cellJob{progs: progs, buildset: bs})
+	}
+	stop := make(chan struct{})
+	close(stop)
+	cfg := Config{Workers: 2, Metric: MetricWork, Interrupt: stop}
+	for _, c := range runCells(jobs, cfg, 0) {
+		if c.Err == nil || c.Err.Kind != CellInterrupted {
+			t.Errorf("cell %s/%s not marked interrupted: %+v", c.ISA, c.Buildset, c.Err)
+		}
+	}
+}
+
+// TestMidRunInterruptIsTyped interrupts a cell that is already executing:
+// the cooperative watchdog must stop it at a chunk boundary with the
+// interrupted kind (not retried), so a signal handler never waits for a
+// long cell to finish.
+func TestMidRunInterruptIsTyped(t *testing.T) {
+	progs := testMix(t)
+	stop := make(chan struct{})
+	var once sync.Once
+	cfg := Config{
+		Metric:        MetricWork,
+		Interrupt:     stop,
+		testChunkHook: func(r *Runner) { once.Do(func() { close(stop) }) },
+	}
 	cells := runCells([]cellJob{{progs: progs, buildset: "one_min"}}, cfg, 0)
 	ce := cells[0].Err
-	if ce == nil {
-		t.Fatal("budget violation not reported")
-	}
-	if ce.Kind != CellBudget {
-		t.Errorf("kind = %v, want budget", ce.Kind)
+	if ce == nil || ce.Kind != CellInterrupted {
+		t.Fatalf("cell error = %+v, want interrupted", ce)
 	}
 	if ce.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (deterministic failures are not retried)", ce.Attempts)
+		t.Errorf("interrupted cell was retried: attempts = %d", ce.Attempts)
 	}
-	if !errors.Is(ce, errBudget) {
-		t.Error("CellError does not unwrap to the budget sentinel")
+	if !errors.Is(ce, errInterrupted) {
+		t.Error("CellError does not unwrap to the interrupt sentinel")
 	}
 }
 
@@ -155,41 +196,5 @@ _start:
 	}
 	if time.Since(start) > 10*time.Second {
 		t.Errorf("watchdog took %v to fire", time.Since(start))
-	}
-}
-
-// TestRunLimitedBudgetIsDeterministic runs the same endless program twice
-// under the same instruction budget and checks the interruption point is
-// identical — budgets, unlike deadlines, are part of the deterministic
-// contract.
-func TestRunLimitedBudgetIsDeterministic(t *testing.T) {
-	i := isatest.Load(t, "alpha64")
-	a, err := asm.New(i)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := a.Assemble("spin.s", `
-.text
-_start:
-    br r31, _start
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := mustSynth(t, i, "one_min")
-	retired := func() uint64 {
-		r := NewRunner(sim, i, prog)
-		_, _, err := r.RunLimited(Limits{MaxInstr: 12345})
-		if !errors.Is(err, errBudget) {
-			t.Fatalf("err = %v, want budget sentinel", err)
-		}
-		return r.m.Instret
-	}
-	a1, a2 := retired(), retired()
-	if a1 != a2 {
-		t.Errorf("budget interruption nondeterministic: %d vs %d retired", a1, a2)
-	}
-	if a1 < 12345 {
-		t.Errorf("budget tripped early: %d retired, budget 12345", a1)
 	}
 }

@@ -352,11 +352,10 @@ func TestFaultStrings(t *testing.T) {
 }
 
 // TestJournalCommitAfterPartialRollback interleaves the two journal
-// truncation operations the way the speculative engine (and the in-cell
-// checkpoint restore path) does: speculate, roll part of it back, then
-// commit a prefix of what survived. The surviving suffix must still roll
-// back exactly, proving a checkpoint taken at the committed mark is
-// consistent with journal state.
+// truncation operations the way the speculative engine does: speculate,
+// roll part of it back, then commit a prefix of what survived. The
+// surviving suffix must still roll back exactly, proving the committed
+// mark is consistent with journal state.
 func TestJournalCommitAfterPartialRollback(t *testing.T) {
 	m := NewMachine(NewMemory(LittleEndian), testDefs())
 	r := m.MustSpace("r")
@@ -428,41 +427,5 @@ func TestJournalResetShrinksOversizedBuffer(t *testing.T) {
 	m.Journal.Rollback(m, mark)
 	if got := r.Read(1); got != uint64(journalShrinkCap) {
 		t.Errorf("r1 after post-shrink rollback = %d, want %d", got, journalShrinkCap)
-	}
-}
-
-// TestPageImageRoundTrip exercises the checkpoint accessors: PageImage
-// copies a page's bytes and generation, and SetPageImage restores them with
-// a strictly-increasing generation bump so cached translations revalidate.
-func TestPageImageRoundTrip(t *testing.T) {
-	m := NewMemory(LittleEndian)
-	m.Store(0x40000, 0xdeadbeef, 4)
-	m.Store(0x4fff8, 0x1122334455667788, 8)
-	data, gen := m.PageImage(0x40000)
-	if len(data) != PageSize() {
-		t.Fatalf("page image size %d, want %d", len(data), PageSize())
-	}
-	if gen == 0 {
-		t.Fatal("stored page has zero generation")
-	}
-	// Mutate, then restore the image; contents must match the snapshot.
-	m.Store(0x40000, 0, 4)
-	m.SetPageImage(0x40000, data, gen)
-	if v, _ := m.Load(0x40000, 4); v != 0xdeadbeef {
-		t.Errorf("restored load = %#x", v)
-	}
-	if v, _ := m.Load(0x4fff8, 8); v != 0x1122334455667788 {
-		t.Errorf("restored load = %#x", v)
-	}
-	if g := m.Gen(0x40000); g <= gen {
-		t.Errorf("restore did not advance generation: %d <= %d", g, gen)
-	}
-	// Short data zero-fills the rest of the page.
-	m.SetPageImage(0x40000, []byte{0xff}, 0)
-	if v, _ := m.Load(0x40000, 1); v != 0xff {
-		t.Errorf("short image first byte = %#x", v)
-	}
-	if v, _ := m.Load(0x40001, 8); v != 0 {
-		t.Errorf("short image tail not zeroed: %#x", v)
 	}
 }

@@ -95,9 +95,6 @@ func NewMemory(order ByteOrder) *Memory {
 	return &Memory{order: order, pages: make(map[uint64]*page)}
 }
 
-// Order reports the memory's byte order.
-func (m *Memory) Order() ByteOrder { return m.order }
-
 func (m *Memory) pageFor(addr uint64) *page {
 	idx := addr >> pageShift
 	if m.haveLast && m.lastIdx == idx {
@@ -248,41 +245,6 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 		out[i] = m.pageFor(a).data[a&pageMask]
 	}
 	return out
-}
-
-// MappedPages reports how many pages have been touched; useful in tests.
-func (m *Memory) MappedPages() int { return len(m.pages) }
-
-// PageImage returns a copy of the page containing addr along with its
-// store-generation counter. Checkpointing walks PageBases and serializes
-// each page image; the copy keeps the caller decoupled from subsequent
-// stores.
-func (m *Memory) PageImage(addr uint64) (data []byte, gen uint64) {
-	p := m.pageFor(addr)
-	out := make([]byte, pageSize)
-	copy(out, p.data[:])
-	return out, p.gen
-}
-
-// SetPageImage overwrites the page containing addr with data (nil or short
-// data zero-fills the remainder) and advances the page's store-generation
-// counter past both its current value and gen. The strictly-increasing
-// bump means any translated code cached against this page — in this
-// machine's Execs or another's — revalidates instead of silently executing
-// stale bytes, no matter which direction the restore moved the contents.
-func (m *Memory) SetPageImage(addr uint64, data []byte, gen uint64) {
-	p := m.pageFor(addr)
-	n := copy(p.data[:], data)
-	for i := n; i < pageSize; i++ {
-		p.data[i] = 0
-	}
-	if gen > p.gen {
-		p.gen = gen
-	}
-	p.gen++
-	if p.code {
-		m.codeGen++
-	}
 }
 
 // PageBases returns the base addresses of all mapped pages in ascending

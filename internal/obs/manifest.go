@@ -26,17 +26,8 @@ type Manifest struct {
 	// Flags records the flag values the run was invoked with (including
 	// the campaign seed when fault injection ran).
 	Flags map[string]string `json:"flags"`
-	// RunID identifies this process's run; ParentRunID, when non-empty, is
-	// the run this one resumed from (the resume lineage). CellsRestored and
-	// CellsComputed split the sweep between cells reloaded from the resume
-	// journal and cells this process measured (or attempted). All four are
-	// zero-valued when the run was not durable.
-	RunID         string `json:"run_id,omitempty"`
-	ParentRunID   string `json:"parent_run_id,omitempty"`
-	CellsRestored int    `json:"cells_restored,omitempty"`
-	CellsComputed int    `json:"cells_computed,omitempty"`
 	// Interrupted records that the run was cut short by a shutdown signal
-	// and wound down cleanly (manifest written, journal flushed).
+	// and wound down cleanly (manifest written).
 	Interrupted bool          `json:"interrupted,omitempty"`
 	Cells       []CellOutcome `json:"cells"`
 	Metrics     Snapshot      `json:"metrics"`
@@ -47,7 +38,7 @@ type CellOutcome struct {
 	ISA      string `json:"isa"`
 	Buildset string `json:"buildset"`
 	// Status is "ok", or the cell's error kind ("panic", "timeout",
-	// "budget", "failed"), or a campaign verdict ("diverged", "error").
+	// "interrupted", "failed"), or a campaign verdict ("diverged", "error").
 	Status   string `json:"status"`
 	Attempts int    `json:"attempts"`
 	// Instret and WorkUnits are the cell's raw deterministic totals.
@@ -57,10 +48,6 @@ type CellOutcome struct {
 	// run to run and are excluded from the determinism contract.
 	WallMS      float64 `json:"wall_ms"`
 	QueueWaitMS float64 `json:"queue_wait_ms"`
-	// Restored marks a cell reloaded from a resume journal rather than
-	// computed by this run. Excluded from the determinism contract (it
-	// depends on where the previous run was killed).
-	Restored bool `json:"restored,omitempty"`
 }
 
 // NewManifest returns a manifest stamped with the current toolchain.

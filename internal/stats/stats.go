@@ -107,18 +107,30 @@ func FormatSig(v float64, n int) string {
 // (extra columns get empty headers) instead of silently truncating — the
 // old loop iterated the header only and dropped the surplus cells, so a
 // miscounted Row call corrupted the rendered data with no visible sign.
+// A "|" inside a header or cell is escaped as "\|", so it cannot start a
+// new column.
 func (t *Table) String() string {
-	ncol := len(t.header)
-	for _, r := range t.rows {
+	escape := func(cells []string) []string {
+		out := make([]string, len(cells))
+		for i, c := range cells {
+			out[i] = strings.ReplaceAll(c, "|", `\|`)
+		}
+		return out
+	}
+	header := escape(t.header)
+	rows := make([][]string, len(t.rows))
+	ncol := len(header)
+	for i, r := range t.rows {
+		rows[i] = escape(r)
 		if len(r) > ncol {
 			ncol = len(r)
 		}
 	}
 	width := make([]int, ncol)
-	for i, h := range t.header {
+	for i, h := range header {
 		width[i] = len(h)
 	}
-	for _, r := range t.rows {
+	for _, r := range rows {
 		for i, c := range r {
 			if len(c) > width[i] {
 				width[i] = len(c)
@@ -137,13 +149,13 @@ func (t *Table) String() string {
 		}
 		b.WriteString("\n")
 	}
-	line(t.header)
+	line(header)
 	sep := make([]string, ncol)
 	for i := range sep {
 		sep[i] = strings.Repeat("-", width[i])
 	}
 	line(sep)
-	for _, r := range t.rows {
+	for _, r := range rows {
 		line(r)
 	}
 	return b.String()

@@ -80,6 +80,18 @@ func TestTable(t *testing.T) {
 	if len(lines) != 4 {
 		t.Errorf("table has %d lines", len(lines))
 	}
+
+	// A pipe inside a header or cell is escaped, so it cannot start a new
+	// column: every line keeps exactly the table's three separators.
+	out = NewTable("ns | work", "b").Row("1 | 2", "x").String()
+	if !strings.Contains(out, `| ns \| work |`) || !strings.Contains(out, `| 1 \| 2     |`) {
+		t.Errorf("pipes not escaped:\n%s", out)
+	}
+	for _, ln := range strings.Split(strings.TrimSpace(out), "\n") {
+		if got := strings.Count(ln, "|") - strings.Count(ln, `\|`); got != 3 {
+			t.Errorf("line %q has %d column separators, want 3", ln, got)
+		}
+	}
 }
 
 // TestTableWideRow is the regression test for silent cell truncation: a

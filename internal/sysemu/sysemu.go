@@ -67,53 +67,6 @@ type Emulator struct {
 	Shorts  uint64
 }
 
-// State is the emulator's complete deterministic state, exported for
-// checkpointing: a machine checkpoint that omitted the OS-emulation side
-// (heap break, tick counter, consumed stdin, captured stdout) would resume
-// into a subtly different OS and diverge. The counters ride along so a
-// resumed cell reports the same sysemu metrics as an uninterrupted one.
-type State struct {
-	Brk     uint64         `json:"brk"`
-	Ticks   uint64         `json:"ticks"`
-	Stdout  []byte         `json:"stdout,omitempty"`
-	Stdin   []byte         `json:"stdin,omitempty"`
-	Calls   map[int]uint64 `json:"calls,omitempty"`
-	Denials uint64         `json:"denials,omitempty"`
-	Shorts  uint64         `json:"shorts,omitempty"`
-}
-
-// State captures the emulator's deterministic state (deep copies, so later
-// emulation does not mutate the checkpoint).
-func (e *Emulator) State() State {
-	s := State{
-		Brk: e.brk, Ticks: e.ticks,
-		Stdout:  append([]byte(nil), e.Stdout.Bytes()...),
-		Stdin:   append([]byte(nil), e.Stdin...),
-		Denials: e.Denials, Shorts: e.Shorts,
-	}
-	if len(e.Calls) > 0 {
-		s.Calls = make(map[int]uint64, len(e.Calls))
-		for k, v := range e.Calls {
-			s.Calls[k] = v
-		}
-	}
-	return s
-}
-
-// SetState restores a previously captured state. The FaultHook is left
-// untouched: fault schedules are owned by the campaign driving them.
-func (e *Emulator) SetState(s State) {
-	e.brk, e.ticks = s.Brk, s.Ticks
-	e.Stdout.Reset()
-	e.Stdout.Write(s.Stdout)
-	e.Stdin = append([]byte(nil), s.Stdin...)
-	e.Calls = make(map[int]uint64, len(s.Calls))
-	for k, v := range s.Calls {
-		e.Calls[k] = v
-	}
-	e.Denials, e.Shorts = s.Denials, s.Shorts
-}
-
 // CallName returns the symbolic name of a syscall number ("exit",
 // "write", ...), or "unknown" for numbers outside the emulated set. The
 // obs layer uses it to label per-call counters.

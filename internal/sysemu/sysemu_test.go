@@ -173,64 +173,3 @@ func TestWriteBoundsCheck(t *testing.T) {
 		t.Error("oversized write accepted")
 	}
 }
-
-// TestEmulatorStateRoundTrip drives the emulator, captures its state,
-// perturbs everything, restores, and checks the restored emulator is
-// indistinguishable — the property in-cell checkpoint resume relies on.
-func TestEmulatorStateRoundTrip(t *testing.T) {
-	i := isatest.Load(t, "alpha64")
-	e := New(i.Conv)
-	e.Stdin = []byte("abcdef")
-	m := i.Spec.NewMachine()
-	e.Install(m)
-
-	r := m.Spaces[0]
-	call := func(num int, args ...uint64) {
-		r.Write(i.Conv.SyscallNum, uint64(num))
-		for k, a := range args {
-			r.Write(i.Conv.Args[k], a)
-		}
-		e.Handle(m)
-	}
-	call(SysBrk, 0x90000)
-	call(SysTime)
-	call(SysTime)
-	m.Mem.WriteBytes(0x50000, []byte("hi"))
-	call(SysWrite, 1, 0x50000, 2)
-	call(SysRead, 0, 0x60000, 4)
-	call(99) // unknown: counts a denial
-
-	st := e.State()
-
-	// Perturb, then restore.
-	call(SysTime)
-	call(SysBrk, 0xa0000)
-	call(SysWrite, 1, 0x50000, 2)
-	e.Stdin = nil
-	e.SetState(st)
-
-	if e.brk != 0x90000 {
-		t.Errorf("brk = %#x, want %#x", e.brk, 0x90000)
-	}
-	if e.ticks != 2 {
-		t.Errorf("ticks = %d, want 2", e.ticks)
-	}
-	if got := e.Stdout.String(); got != "hi" {
-		t.Errorf("stdout = %q, want %q", got, "hi")
-	}
-	if string(e.Stdin) != "ef" {
-		t.Errorf("stdin remainder = %q, want %q", e.Stdin, "ef")
-	}
-	if e.Calls[SysTime] != 2 || e.Calls[SysWrite] != 1 || e.Calls[SysBrk] != 1 {
-		t.Errorf("call counts not restored: %v", e.Calls)
-	}
-	if e.Denials != 1 || e.Shorts != 0 {
-		t.Errorf("denials/shorts = %d/%d, want 1/0", e.Denials, e.Shorts)
-	}
-
-	// The captured state must be a deep copy: mutating the emulator after
-	// capture must not have touched st.
-	if string(st.Stdout) != "hi" || st.Ticks != 2 {
-		t.Error("captured state aliased live emulator buffers")
-	}
-}
