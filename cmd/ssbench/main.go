@@ -59,8 +59,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write a JSON run manifest + metrics snapshot to this file (see EXPERIMENTS.md)")
 	benchOut := flag.String("bench-out", "", "write the Table II speed grid as JSON (schema "+expt.BenchSchema+") to this file; see RESULTS.md")
 	backendName := flag.String("backend", "interp", "Table II execution backend: interp (in-process), aot (generated runner binaries), or both (each cell measured twice, with a deterministic-parity check)")
-	aotCache := flag.String("aot-cache", "", "directory caching compiled AOT runner binaries (keyed by source hash); empty uses a per-run temporary cache")
-	aotPlugin := flag.Bool("aot-plugin", false, "load AOT runners in process via the Go plugin transport where the toolchain supports it, falling back to subprocess runners where it does not (results identical; see EXPERIMENTS.md)")
+	aotCache := flag.String("aot-cache", "", "directory caching compiled AOT runner binaries (keyed by source hash); empty uses a temporary cache removed when the sweep ends")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 	flag.Parse()
 
@@ -133,7 +132,7 @@ func main() {
 	}
 	cfg := expt.Config{Scale: *scale, MinDur: *dur, Workers: *parallel, Metric: metric,
 		CellTimeout: *cellTimeout, Obs: reg, Interrupt: interrupt,
-		Backend: backend, AOTCacheDir: *aotCache, AOTPlugin: *aotPlugin}
+		Backend: backend, AOTCacheDir: *aotCache}
 
 	if *table == 0 || *table == 1 {
 		t1, err := expt.TableI()

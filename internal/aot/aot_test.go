@@ -410,6 +410,36 @@ func TestDecodeValidFrames(t *testing.T) {
 	}
 }
 
+// TestRunFrames pins the reply sequence both transports share, fed from an
+// in-memory frame source (the plugin transport's runReply): record batches
+// then the final frame yield every record and the final state, and any
+// other sequence is a typed *ProtocolError.
+func TestRunFrames(t *testing.T) {
+	res, err := runReply([][]byte{validRecords(2), validRecords(2), validFinal()}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 4 || res.Records[3].PC != 0x10004 || res.Records[3].Vals[1] != 1 {
+		t.Fatalf("records delivered wrong: %+v", res.Records)
+	}
+	if !res.Halted || res.ExitCode != 42 || res.Instret != 1234 {
+		t.Fatalf("final state delivered wrong: %+v", res.FinalState)
+	}
+	for name, frames := range map[string][][]byte{
+		"no final frame":     {validRecords(2)},
+		"empty reply":        nil,
+		"empty frame":        {validRecords(2), {}, validFinal()},
+		"unknown frame type": {{'X', 0}, validFinal()},
+		"frame after final":  {validRecords(2), validFinal(), validFinal()},
+	} {
+		if _, err := runReply(frames, 2); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if pe := (*ProtocolError)(nil); !errors.As(err, &pe) {
+			t.Errorf("%s: untyped error %T: %v", name, err, err)
+		}
+	}
+}
+
 // FuzzRunnerProtocol feeds corrupted, truncated, and oversized frames to
 // all three protocol decoders. Malformed input must produce a typed
 // *ProtocolError — never a panic, hang, or large-allocation blowup.

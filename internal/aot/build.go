@@ -134,6 +134,25 @@ var (
 	buildInflight = map[string]*inflight{}
 )
 
+// artifact is one kind of runner build output: the subprocess binary or the
+// -buildmode=plugin .so (see plugin.go). Both kinds build from the same
+// generated source into the same source-keyed cache entry, each beside its
+// own manifest and under its own counters.
+type artifact struct {
+	file     string   // artifact file name in the cache entry
+	manifest string   // manifest file name in the cache entry
+	counters string   // counter prefix: <counters>.cache.{hit,miss,corrupt}, <counters>.build
+	flags    []string // go build flags ahead of -o
+	// uniqueModule gives the generated module a path unique to the cache
+	// key instead of runnerGoMod's fixed one (see pluginArtifact).
+	uniqueModule bool
+	// unavailable, when set, wraps every go build failure: the artifact
+	// kind is optional, and its callers test for the condition.
+	unavailable error
+}
+
+var binaryArtifact = &artifact{file: "runner", manifest: "manifest.json", counters: "aot"}
+
 // Build returns a runner binary for sim's (spec, buildset) pair, generating
 // and compiling it on a cache miss. The cache key covers everything that
 // determines the binary: the generated source, the static harness, go.mod,
@@ -142,6 +161,12 @@ var (
 // rebuild, never silent use. Concurrent calls for one key build exactly
 // once per process.
 func Build(sim *core.Sim, conv core.RunnerConv, cacheDir string, reg *obs.Registry) (*BuildResult, error) {
+	return build(binaryArtifact, sim, conv, cacheDir, reg)
+}
+
+// build returns the artifact of kind a for sim's (spec, buildset) pair,
+// building it on a cache miss, once per process for concurrent callers.
+func build(a *artifact, sim *core.Sim, conv core.RunnerConv, cacheDir string, reg *obs.Registry) (*BuildResult, error) {
 	tc, err := probeToolchain()
 	if err != nil {
 		return nil, err
@@ -152,20 +177,21 @@ func Build(sim *core.Sim, conv core.RunnerConv, cacheDir string, reg *obs.Regist
 	}
 	key := cacheKey(tc, src)
 	entryDir := filepath.Join(cacheDir, key[:16])
+	flKey := filepath.Join(entryDir, a.file)
 
 	buildMu.Lock()
-	if fl, ok := buildInflight[entryDir]; ok {
+	if fl, ok := buildInflight[flKey]; ok {
 		buildMu.Unlock()
 		<-fl.done
 		return fl.res, fl.err
 	}
 	fl := &inflight{done: make(chan struct{})}
-	buildInflight[entryDir] = fl
+	buildInflight[flKey] = fl
 	buildMu.Unlock()
 
-	fl.res, fl.err = buildLocked(sim, src, key, cacheDir, entryDir, tc, reg)
+	fl.res, fl.err = buildLocked(a, sim, src, key, cacheDir, entryDir, tc, reg)
 	buildMu.Lock()
-	delete(buildInflight, entryDir)
+	delete(buildInflight, flKey)
 	buildMu.Unlock()
 	close(fl.done)
 	return fl.res, fl.err
@@ -183,17 +209,17 @@ func cacheKey(tc toolchain, src string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func buildLocked(sim *core.Sim, src, key, cacheDir, entryDir string, tc toolchain, reg *obs.Registry) (*BuildResult, error) {
-	binPath := filepath.Join(entryDir, "runner")
-	manPath := filepath.Join(entryDir, "manifest.json")
+func buildLocked(a *artifact, sim *core.Sim, src, key, cacheDir, entryDir string, tc toolchain, reg *obs.Registry) (*BuildResult, error) {
+	artPath := filepath.Join(entryDir, a.file)
+	manPath := filepath.Join(entryDir, a.manifest)
 
-	if ok, corrupt := verifyCached(binPath, manPath, key, tc); ok {
-		count(reg, "aot.cache.hit")
-		return &BuildResult{BinPath: binPath, Key: key, Cached: true}, nil
+	if ok, corrupt := verifyCached(artPath, manPath, key, tc); ok {
+		count(reg, a.counters+".cache.hit")
+		return &BuildResult{BinPath: artPath, Key: key, Cached: true}, nil
 	} else if corrupt {
-		count(reg, "aot.cache.corrupt")
+		count(reg, a.counters+".cache.corrupt")
 	}
-	count(reg, "aot.cache.miss")
+	count(reg, a.counters+".cache.miss")
 
 	if err := os.MkdirAll(entryDir, 0o755); err != nil {
 		return nil, fmt.Errorf("aot: creating cache entry: %w", err)
@@ -203,10 +229,14 @@ func buildLocked(sim *core.Sim, src, key, cacheDir, entryDir string, tc toolchai
 		return nil, fmt.Errorf("aot: creating build dir: %w", err)
 	}
 	defer os.RemoveAll(tmp)
+	goMod := runnerGoMod
+	if a.uniqueModule {
+		goMod = "module aotrunner_" + key[:16] + "\n\ngo 1.24\n"
+	}
 	files := map[string]string{
 		"gen.go":     src,
 		"harness.go": runnerHarness,
-		"go.mod":     runnerGoMod,
+		"go.mod":     goMod,
 	}
 	for name, content := range files {
 		if err := os.WriteFile(filepath.Join(tmp, name), []byte(content), 0o644); err != nil {
@@ -217,30 +247,25 @@ func buildLocked(sim *core.Sim, src, key, cacheDir, entryDir string, tc toolchai
 	if err != nil {
 		return nil, ErrNoToolchain
 	}
-	tmpBin := filepath.Join(tmp, "runner")
-	cmd := exec.Command(gobin, "build", "-o", tmpBin, ".")
+	tmpArt := filepath.Join(tmp, a.file)
+	cmd := exec.Command(gobin, append(append([]string{"build"}, a.flags...), "-o", tmpArt, ".")...)
 	cmd.Dir = tmp
 	if out, err := cmd.CombinedOutput(); err != nil {
-		return nil, fmt.Errorf("aot: go build of generated runner (%s/%s) failed: %w\n%s",
-			sim.Spec.Name, sim.BS.Name, err, out)
-	}
-	count(reg, "aot.build")
-
-	binData, err := os.ReadFile(tmpBin)
-	if err != nil {
-		return nil, fmt.Errorf("aot: reading built runner: %w", err)
-	}
-	man := newManifest(binData, key, tc, sim)
-	if err := installArtifact(tmp, tmpBin, binPath, manPath, man); err != nil {
+		err = fmt.Errorf("aot: go build of generated %s (%s/%s) failed: %w\n%s",
+			a.file, sim.Spec.Name, sim.BS.Name, err, out)
+		if a.unavailable != nil {
+			err = fmt.Errorf("%w: %w", a.unavailable, err)
+		}
 		return nil, err
 	}
-	return &BuildResult{BinPath: binPath, Key: key}, nil
-}
+	count(reg, a.counters+".build")
 
-// newManifest describes a freshly built artifact.
-func newManifest(binData []byte, key string, tc toolchain, sim *core.Sim) manifest {
-	sum := sha256.Sum256(binData)
-	return manifest{
+	data, err := os.ReadFile(tmpArt)
+	if err != nil {
+		return nil, fmt.Errorf("aot: reading built %s: %w", a.file, err)
+	}
+	sum := sha256.Sum256(data)
+	man := manifest{
 		BinarySHA256: hex.EncodeToString(sum[:]),
 		Key:          key,
 		GoVersion:    tc.Version,
@@ -249,6 +274,10 @@ func newManifest(binData []byte, key string, tc toolchain, sim *core.Sim) manife
 		Spec:         sim.Spec.Name,
 		Buildset:     sim.BS.Name,
 	}
+	if err := installArtifact(tmp, tmpArt, artPath, manPath, man); err != nil {
+		return nil, err
+	}
+	return &BuildResult{BinPath: artPath, Key: key}, nil
 }
 
 // installArtifact moves a built artifact and its manifest into the cache

@@ -3,9 +3,6 @@ package aot
 import (
 	"errors"
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"plugin"
 	"sync"
 
@@ -18,117 +15,40 @@ import (
 // (go build -buildmode=plugin + plugin.Open) so Step/Block interfaces skip
 // the pipe entirely: Init/Run become direct calls carrying the same frame
 // payloads the subprocess protocol does, minus the length prefixes and the
-// two process switches per exchange.
+// two process switches per exchange. Builds go through the subprocess
+// binary's cached build (build.go) and replies through its run-frame loop
+// (runFrames), so the transports differ only in how frames travel.
 //
 // Availability is a build-time property of the toolchain on PATH
 // (-buildmode=plugin needs cgo and a supported GOOS/GOARCH, in practice
 // linux and a few friends). Every unavailability — unsupported platform,
 // cgo disabled, plugin.Open refusing the artifact — surfaces as a typed
-// ErrNoPlugin so callers fall back to the subprocess transport without
-// giving up the cell.
+// ErrNoPlugin.
 
 // ErrNoPlugin reports that the in-process plugin transport is not available
-// here. Callers are expected to fall back to the subprocess protocol;
-// errors.Is(err, ErrNoPlugin) identifies the condition through wrapping.
+// here; errors.Is(err, ErrNoPlugin) identifies the condition through
+// wrapping.
 var ErrNoPlugin = errors.New("aot: plugin transport not available")
 
+// pluginArtifact is the runner built as a Go plugin, beside the subprocess
+// binary in the same cache entry. Its module path is unique per cache key:
+// the plugin's lookup path and its dynamic symbol prefix both derive from
+// the main package's import path at compile time, and plugin.Open refuses
+// two plugins sharing a path, so distinct (spec, buildset) runners must
+// differ at the module level. (Overriding -pluginpath at link time only
+// renames the lookup path, not the compiled symbols, which breaks dlsym.)
+// The cgo requirement is inherited from the environment on purpose: under
+// CGO_ENABLED=0, or on a host without a C toolchain, the build fails with
+// ErrNoPlugin.
+var pluginArtifact = &artifact{file: "runner.so", manifest: "plugin-manifest.json", counters: "aot.plugin",
+	flags: []string{"-buildmode=plugin"}, uniqueModule: true, unavailable: ErrNoPlugin}
+
 // BuildPlugin compiles the runner for sim's (spec, buildset) pair as a Go
-// plugin, sharing Build's cache layout: the .so and its own manifest live
-// next to the subprocess binary under the same source-keyed entry. A build
-// failure of the plugin artifact (no cgo, unsupported platform) returns an
-// ErrNoPlugin-wrapped error rather than a hard failure.
+// plugin, sharing Build's cache: the .so and its own manifest live next to
+// the subprocess binary under the same source-keyed entry. A failed build
+// (no cgo, unsupported platform) returns an ErrNoPlugin-wrapped error.
 func BuildPlugin(sim *core.Sim, conv core.RunnerConv, cacheDir string, reg *obs.Registry) (*BuildResult, error) {
-	tc, err := probeToolchain()
-	if err != nil {
-		return nil, err
-	}
-	src, err := sim.EmitRunner(conv)
-	if err != nil {
-		return nil, err
-	}
-	key := cacheKey(tc, src)
-	entryDir := filepath.Join(cacheDir, key[:16])
-	flKey := entryDir + "#plugin"
-
-	buildMu.Lock()
-	if fl, ok := buildInflight[flKey]; ok {
-		buildMu.Unlock()
-		<-fl.done
-		return fl.res, fl.err
-	}
-	fl := &inflight{done: make(chan struct{})}
-	buildInflight[flKey] = fl
-	buildMu.Unlock()
-
-	fl.res, fl.err = buildPluginLocked(sim, src, key, cacheDir, entryDir, tc, reg)
-	buildMu.Lock()
-	delete(buildInflight, flKey)
-	buildMu.Unlock()
-	close(fl.done)
-	return fl.res, fl.err
-}
-
-func buildPluginLocked(sim *core.Sim, src, key, cacheDir, entryDir string, tc toolchain, reg *obs.Registry) (*BuildResult, error) {
-	soPath := filepath.Join(entryDir, "runner.so")
-	manPath := filepath.Join(entryDir, "plugin-manifest.json")
-
-	if ok, corrupt := verifyCached(soPath, manPath, key, tc); ok {
-		count(reg, "aot.plugin.cache.hit")
-		return &BuildResult{BinPath: soPath, Key: key, Cached: true}, nil
-	} else if corrupt {
-		count(reg, "aot.plugin.cache.corrupt")
-	}
-	count(reg, "aot.plugin.cache.miss")
-
-	if err := os.MkdirAll(entryDir, 0o755); err != nil {
-		return nil, fmt.Errorf("aot: creating cache entry: %w", err)
-	}
-	tmp, err := os.MkdirTemp(cacheDir, "pluginbuild-*")
-	if err != nil {
-		return nil, fmt.Errorf("aot: creating build dir: %w", err)
-	}
-	defer os.RemoveAll(tmp)
-	// A unique module path per cache key: the plugin's lookup path and its
-	// dynamic symbol prefix both derive from the main package's import path
-	// at compile time, and plugin.Open refuses two plugins sharing a path —
-	// so distinct (spec, buildset) runners must differ at the module level.
-	// (Overriding -pluginpath at link time only renames the lookup path, not
-	// the compiled symbols, which breaks dlsym.)
-	files := map[string]string{
-		"gen.go":     src,
-		"harness.go": runnerHarness,
-		"go.mod":     "module aotrunner_" + key[:16] + "\n\ngo 1.24\n",
-	}
-	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(tmp, name), []byte(content), 0o644); err != nil {
-			return nil, fmt.Errorf("aot: writing %s: %w", name, err)
-		}
-	}
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		return nil, ErrNoToolchain
-	}
-	tmpSo := filepath.Join(tmp, "runner.so")
-	// The cgo requirement is inherited from the environment on purpose:
-	// under CGO_ENABLED=0 (or a host without a C toolchain) the build fails
-	// here and degrades to the typed ErrNoPlugin fallback below.
-	cmd := exec.Command(gobin, "build", "-buildmode=plugin", "-o", tmpSo, ".")
-	cmd.Dir = tmp
-	if out, err := cmd.CombinedOutput(); err != nil {
-		return nil, fmt.Errorf("%w: go build -buildmode=plugin (%s/%s) failed: %v\n%s",
-			ErrNoPlugin, sim.Spec.Name, sim.BS.Name, err, out)
-	}
-	count(reg, "aot.plugin.build")
-
-	soData, err := os.ReadFile(tmpSo)
-	if err != nil {
-		return nil, fmt.Errorf("aot: reading built plugin: %w", err)
-	}
-	man := newManifest(soData, key, tc, sim)
-	if err := installArtifact(tmp, tmpSo, soPath, manPath, man); err != nil {
-		return nil, err
-	}
-	return &BuildResult{BinPath: soPath, Key: key}, nil
+	return build(pluginArtifact, sim, conv, cacheDir, reg)
 }
 
 // pluginExports are the symbols a runner plugin provides; builtin types
@@ -158,8 +78,7 @@ var (
 
 // LoadPlugin opens a runner plugin built by BuildPlugin and verifies its
 // hello. Any failure to load or bind — unsupported platform, stale ABI,
-// missing symbols — is reported wrapped in ErrNoPlugin so the caller can
-// fall back to the subprocess transport.
+// missing symbols — is reported wrapped in ErrNoPlugin.
 func LoadPlugin(soPath string) (*PluginHandle, error) {
 	pluginRegMu.Lock()
 	defer pluginRegMu.Unlock()
@@ -234,37 +153,7 @@ func (s *PluginSession) Run(maxInstr uint64, wantRecs bool, resultAddr uint64) (
 	if errs != "" {
 		return nil, fmt.Errorf("aot: plugin run: %s", errs)
 	}
-	res := &RunResult{}
-	sawFinal := false
-	for _, frame := range frames {
-		if len(frame) == 0 {
-			return nil, perr("stream", "empty plugin frame")
-		}
-		if sawFinal {
-			return nil, perr("stream", "frame after final")
-		}
-		switch frame[0] {
-		case 'R':
-			var err error
-			res.Records, err = decodeRecordsFrame(frame, len(s.h.hello.VisNames), res.Records)
-			if err != nil {
-				return nil, err
-			}
-		case 'F':
-			fin, err := decodeFinalFrame(frame)
-			if err != nil {
-				return nil, err
-			}
-			res.FinalState = *fin
-			sawFinal = true
-		default:
-			return nil, perr("stream", "unexpected frame type %#x", frame[0])
-		}
-	}
-	if !sawFinal {
-		return nil, perr("stream", "plugin run produced no final frame")
-	}
-	return res, nil
+	return runReply(frames, len(s.h.hello.VisNames))
 }
 
 func (s *PluginSession) Close() error {

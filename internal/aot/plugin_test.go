@@ -190,3 +190,19 @@ func TestPluginBuildCacheReuse(t *testing.T) {
 		t.Fatalf("aot.plugin.build = %d, want 1", got)
 	}
 }
+
+// TestBuildPluginNoCgo pins the unavailability contract of the plugin
+// build: with cgo disabled, BuildPlugin into a fresh cache fails with an
+// error that is ErrNoPlugin through wrapping.
+func TestBuildPluginNoCgo(t *testing.T) {
+	i, sim := loadSim(t, "alpha64", "one_min")
+	requireToolchain(t)
+	t.Setenv("CGO_ENABLED", "0")
+	res, err := BuildPlugin(sim, RunnerConvFor(i.Conv), t.TempDir(), nil)
+	if err == nil {
+		t.Fatalf("plugin built with cgo disabled: %+v", res)
+	}
+	if !errors.Is(err, ErrNoPlugin) {
+		t.Fatalf("no-cgo build failure is not ErrNoPlugin: %v", err)
+	}
+}

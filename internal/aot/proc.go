@@ -311,43 +311,74 @@ func (r *Runner) Run(maxInstr uint64, wantRecs bool, resultAddr uint64) (*RunRes
 		return nil, fmt.Errorf("aot: runner already failed; spawn a fresh one")
 	}
 	p := encodeRunPayload(maxInstr, wantRecs, resultAddr)
-	res := &RunResult{}
-	err := r.watch("run", func() error {
-		if err := r.writeFrame(p); err != nil {
-			r.broken = true
+	var res *RunResult
+	err := r.watch("run", func() (err error) {
+		if err = r.writeFrame(p); err != nil {
 			return err
 		}
-		for {
+		res, err = runFrames(func() ([]byte, error) {
 			frame, err := r.readFrame()
 			if err != nil {
-				r.broken = true
-				return fmt.Errorf("%w%s", err, r.stderrSuffix())
+				return nil, fmt.Errorf("%w%s", err, r.stderrSuffix())
 			}
-			switch frame[0] {
-			case 'R':
-				res.Records, err = decodeRecordsFrame(frame, len(r.hello.VisNames), res.Records)
-				if err != nil {
-					r.broken = true
-					return err
-				}
-			case 'F':
-				fin, err := decodeFinalFrame(frame)
-				if err != nil {
-					r.broken = true
-					return err
-				}
-				res.FinalState = *fin
-				return nil
-			default:
-				r.broken = true
-				return perr("stream", "unexpected frame type %#x", frame[0])
-			}
-		}
+			return frame, nil
+		}, len(r.hello.VisNames))
+		return err
 	})
 	if err != nil {
+		r.broken = true
 		return nil, err
 	}
 	return res, nil
+}
+
+// runFrames dispatches one run's reply, whose frames next yields in order:
+// record batches, then the final frame. Both transports feed it, so a reply
+// means the same whichever carried it; any other sequence is a
+// *ProtocolError.
+func runFrames(next func() ([]byte, error), nVis int) (*RunResult, error) {
+	res := &RunResult{}
+	for {
+		frame, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if len(frame) == 0 {
+			return nil, perr("stream", "empty frame")
+		}
+		switch frame[0] {
+		case 'R':
+			if res.Records, err = decodeRecordsFrame(frame, nVis, res.Records); err != nil {
+				return nil, err
+			}
+		case 'F':
+			fin, err := decodeFinalFrame(frame)
+			if err != nil {
+				return nil, err
+			}
+			res.FinalState = *fin
+			return res, nil
+		default:
+			return nil, perr("stream", "unexpected frame type %#x", frame[0])
+		}
+	}
+}
+
+// runReply is runFrames over a whole reply held in memory, as the plugin
+// transport returns it: the reply must end exactly at its final frame.
+func runReply(frames [][]byte, nVis int) (*RunResult, error) {
+	n := 0
+	res, err := runFrames(func() ([]byte, error) {
+		if n == len(frames) {
+			return nil, perr("stream", "reply ended without a final frame")
+		}
+		n++
+		return frames[n-1], nil
+	}, nVis)
+	if err == nil && n < len(frames) {
+		return nil, perr("stream", "%d frames after the final frame", len(frames)-n)
+	}
+	return res, err
 }
 
 // Close shuts the runner down: a quit frame, stdin close, and a bounded

@@ -114,49 +114,35 @@ func BenchmarkDispatchBlock(b *testing.B) { benchDispatch(b, "block_min") }
 // One/Min interface over the same branch ping-pong.
 func BenchmarkDispatchOne(b *testing.B) { benchDispatch(b, "one_min") }
 
-// BenchmarkFlushLocal measures the cost of dropping the Exec's first-level
-// translation caches.
-func BenchmarkFlushLocal(b *testing.B) {
-	spec, err := lis.Parse("toy.lis", toySrc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := Synthesize(spec, "one_min", Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := loadProgram(spec, benchProgram())
-	x := s.NewExec(m)
-	x.Run(64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		x.FlushLocal()
-	}
-}
-
 // BenchmarkTransUnitSharedHit measures the first-level-miss path of unit
-// translation: flush the private cache, then re-resolve one PC through the
-// shared cache. This is the path the transUnit double page walk sat on.
+// translation: with a one-slot private table, two alternating PCs evict
+// each other, so every lookup re-resolves through the shared cache. This is
+// the path the transUnit double page walk sat on.
 func BenchmarkTransUnitSharedHit(b *testing.B) {
 	spec, err := lis.Parse("toy.lis", toySrc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := Synthesize(spec, "one_min", Options{})
+	s, err := Synthesize(spec, "one_min", Options{CacheCap: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := loadProgram(spec, benchProgram())
 	x := s.NewExec(m)
-	x.Run(64) // warm the shared cache
+	pcs := [2]uint64{codeBase, codeBase + 4}
+	for _, pc := range pcs {
+		x.transUnit(pc) // warm the shared cache
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		x.FlushLocal()
-		if x.transUnit(codeBase) == nil {
+		if x.transUnit(pcs[n&1]) == nil {
 			b.Fatal("transUnit returned nil")
 		}
+	}
+	b.StopTimer()
+	if st := x.Stats(); st.UnitTranslations != 2 {
+		b.Fatalf("%d translations, want 2: lookups missed the shared cache", st.UnitTranslations)
 	}
 }
 

@@ -31,8 +31,7 @@ type xblock struct {
 // back-branch, a fall-through, a direct call — resolves the next block with
 // one epoch compare instead of a table probe plus page-generation walk.
 // Links sever automatically when the code-store epoch moves (any store to a
-// code page, including rollback of speculative stores) and when FlushLocal
-// bumps the table stamp.
+// code page, including rollback of speculative stores).
 func (x *Exec) ExecBlock(batch *Batch) bool {
 	batch.Reset()
 	m := x.M
@@ -43,7 +42,7 @@ func (x *Exec) ExecBlock(batch *Batch) bool {
 	t := &x.btab
 	if last := x.lastB; last >= 0 {
 		ls := &t.slots[last]
-		if ls.stamp == t.stamp && ls.next != nil && ls.nextPC == pc &&
+		if ls.next != nil && ls.nextPC == pc &&
 			ls.nextEpoch == m.Mem.CodeGen() {
 			blk = ls.next
 			slot = int32(ls.nextSlot)
@@ -73,17 +72,15 @@ func (x *Exec) ExecBlock(batch *Batch) bool {
 		// epoch blk was just validated under; a follow re-checks it, so a
 		// link can never outlive the code it points at. A stale slot (its
 		// block was evicted since) still gets the link: follow validity is
-		// self-contained in (nextPC, nextEpoch, stamp), independent of
-		// which block the slot currently caches.
+		// self-contained in (nextPC, nextEpoch), independent of which
+		// block the slot currently caches.
 		if last := x.lastB; last >= 0 {
 			ls := &t.slots[last]
-			if ls.stamp == t.stamp {
-				ls.next = blk
-				ls.nextPC = pc
-				ls.nextEpoch = m.Mem.CodeGen()
-				ls.nextSlot = uint32(slot)
-				x.stats.BlockChainLinks++
-			}
+			ls.next = blk
+			ls.nextPC = pc
+			ls.nextEpoch = m.Mem.CodeGen()
+			ls.nextSlot = uint32(slot)
+			x.stats.BlockChainLinks++
 		}
 	}
 	emit := x.sim.emitRecs
@@ -162,7 +159,7 @@ func (x *Exec) transBlock(pc uint64) (*xblock, int32) {
 	mem := x.M.Mem
 	i := t.idx(pc)
 	s := &t.slots[i]
-	if s.stamp == t.stamp && s.pc == pc {
+	if s.b != nil && s.pc == pc {
 		cg := mem.CodeGen()
 		if s.epoch == cg {
 			x.stats.BlockL1Hits++
@@ -176,7 +173,7 @@ func (x *Exec) transBlock(pc uint64) (*xblock, int32) {
 			return s.b, int32(i)
 		}
 		x.stats.BlockL1GenEvictions++
-	} else if s.stamp == t.stamp && s.b != nil {
+	} else if s.b != nil {
 		x.stats.BlockL1Conflicts++
 	}
 	blk := x.sim.shared.lookupBlock(pc)
@@ -197,7 +194,7 @@ func (x *Exec) transBlock(pc uint64) (*xblock, int32) {
 	// Mark the block's (single) page as code before capturing generation
 	// and epoch: every later store to it must advance both.
 	mem.MarkCode(pc)
-	*s = bslot{pc: pc, gen: mem.Gen(pc), epoch: mem.CodeGen(), stamp: t.stamp, b: blk}
+	*s = bslot{pc: pc, gen: mem.Gen(pc), epoch: mem.CodeGen(), b: blk}
 	return blk, int32(i)
 }
 

@@ -7,9 +7,8 @@ import (
 )
 
 // Tests for block->block chaining: link creation and following, severing on
-// self-modifying code and on FlushLocal, relinking under invalidation
-// storms, and the zero-allocation guarantee of the steady-state dispatch
-// and flush paths.
+// self-modifying code, relinking under invalidation storms, and the
+// zero-allocation guarantee of the steady-state dispatch paths.
 
 // chainLoopProgram decrements r9 once per iteration through two basic
 // blocks — [SUB, BEQ-exit] and [BEQ-back] — so both chain edges (taken
@@ -98,32 +97,6 @@ func TestChainSeveredBySMC(t *testing.T) {
 	}
 }
 
-// TestChainSeveredByFlush: FlushLocal must sever every chain link (the
-// table stamp moves), and chaining must resume once dispatch re-warms.
-func TestChainSeveredByFlush(t *testing.T) {
-	m, s := pingPongFar(t)
-	x := s.NewExec(m)
-	var batch Batch
-	for i := 0; i < 6; i++ {
-		x.ExecBlock(&batch)
-	}
-	f0 := x.Stats().BlockChainFollows
-	if f0 == 0 {
-		t.Fatal("warmup produced no chain follows")
-	}
-	x.FlushLocal()
-	x.ExecBlock(&batch)
-	if got := x.Stats().BlockChainFollows; got != f0 {
-		t.Fatalf("first dispatch after flush followed a link (follows %d -> %d)", f0, got)
-	}
-	for i := 0; i < 6; i++ {
-		x.ExecBlock(&batch)
-	}
-	if got := x.Stats().BlockChainFollows; got == f0 {
-		t.Fatal("chaining did not resume after flush")
-	}
-}
-
 // TestChainRelinkStorm: a code-page store between every two blocks severs
 // each link before it can be followed. Execution must stay correct, links
 // must keep being recreated, and none may be followed.
@@ -154,8 +127,8 @@ func TestChainRelinkStorm(t *testing.T) {
 }
 
 // TestSteadyStateZeroAlloc pins the no-allocation property of the hot
-// paths: warm block dispatch, warm per-instruction dispatch, and
-// FlushLocal must all run without allocating.
+// paths: warm block dispatch and warm per-instruction dispatch must run
+// without allocating.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	t.Run("ExecBlock", func(t *testing.T) {
 		m, s := pingPongFar(t)
@@ -186,15 +159,6 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}); avg != 0 {
 			t.Errorf("warm ExecOne allocates: %.2f allocs per 16 instrs", avg)
-		}
-	})
-	t.Run("FlushLocal", func(t *testing.T) {
-		s := synth(t, "one_min", Options{})
-		m := loadProgram(toySpec(t), benchBranchProgram())
-		x := s.NewExec(m)
-		x.Run(16)
-		if avg := testing.AllocsPerRun(100, x.FlushLocal); avg != 0 {
-			t.Errorf("FlushLocal allocates: %.2f allocs per call", avg)
 		}
 	})
 }

@@ -10,11 +10,9 @@ package core
 //   - The table never grows. A PC whose slot is occupied by another PC
 //     evicts it (direct-mapped conflict), so storage is bounded by
 //     construction at the power-of-two rounding of Options.CacheCap.
-//   - FlushLocal is O(1) and allocation-free: every slot carries the stamp
-//     of the flush generation it was written under, and bumping the table
-//     stamp invalidates all of them at once. The old implementation
-//     reallocated fresh maps, which both allocated and left the old map for
-//     the GC to sweep.
+//   - An empty slot is one whose unit (or block) pointer is nil. Lookups
+//     test that pointer before the PC, so a zero slot never hits, even for
+//     PC 0.
 //
 // Slot validity is two-tier. Each slot records the code-store epoch
 // (mach.Memory.CodeGen) and the page generation under which its product was
@@ -29,7 +27,6 @@ type uslot struct {
 	pc    uint64
 	gen   uint64 // page generation at validation
 	epoch uint64 // code-store epoch at validation
-	stamp uint64 // table stamp this slot was written under
 	u     *unit
 }
 
@@ -45,7 +42,6 @@ type bslot struct {
 	pc    uint64
 	gen   uint64
 	epoch uint64
-	stamp uint64
 	b     *xblock
 
 	next      *xblock
@@ -57,13 +53,11 @@ type bslot struct {
 type utab struct {
 	slots []uslot
 	shift uint
-	stamp uint64
 }
 
 type btab struct {
 	slots []bslot
 	shift uint
-	stamp uint64
 }
 
 // tabSize rounds a cache capacity to the next power of two (minimum 1) so
@@ -86,7 +80,6 @@ func (t *utab) init(cap int) {
 	size, shift := tabSize(cap)
 	t.slots = make([]uslot, size)
 	t.shift = shift
-	t.stamp = 1 // zero-valued slots are invalid under stamp 1
 }
 
 func (t *utab) idx(pc uint64) uint64 { return l1hash(pc) >> t.shift }
@@ -95,7 +88,6 @@ func (t *btab) init(cap int) {
 	size, shift := tabSize(cap)
 	t.slots = make([]bslot, size)
 	t.shift = shift
-	t.stamp = 1
 }
 
 func (t *btab) idx(pc uint64) uint64 { return l1hash(pc) >> t.shift }

@@ -515,7 +515,6 @@ type ExecStats struct {
 	UnitL1Hits         uint64 // first-level hits (epoch or generation still valid)
 	UnitL1GenEvictions uint64 // entries dropped on a page-generation mismatch
 	UnitL1Conflicts    uint64 // entries evicted by a different PC mapping to the slot
-	UnitL1Flushes      uint64 // wholesale first-level flushes (FlushLocal stamp bumps)
 	UnitSharedHits     uint64 // second-level (shared, bits-validated) hits
 	UnitTranslations   uint64 // fresh translations published to the shared cache
 
@@ -523,7 +522,6 @@ type ExecStats struct {
 	BlockL1Hits         uint64
 	BlockL1GenEvictions uint64
 	BlockL1Conflicts    uint64
-	BlockL1Flushes      uint64
 	BlockSharedHits     uint64
 	BlockSharedStale    uint64 // shared blocks rejected by per-unit bits validation
 	BlockBuilds         uint64 // fresh blocks built and published
@@ -540,13 +538,11 @@ func (s *ExecStats) Merge(o ExecStats) {
 	s.UnitL1Hits += o.UnitL1Hits
 	s.UnitL1GenEvictions += o.UnitL1GenEvictions
 	s.UnitL1Conflicts += o.UnitL1Conflicts
-	s.UnitL1Flushes += o.UnitL1Flushes
 	s.UnitSharedHits += o.UnitSharedHits
 	s.UnitTranslations += o.UnitTranslations
 	s.BlockL1Hits += o.BlockL1Hits
 	s.BlockL1GenEvictions += o.BlockL1GenEvictions
 	s.BlockL1Conflicts += o.BlockL1Conflicts
-	s.BlockL1Flushes += o.BlockL1Flushes
 	s.BlockSharedHits += o.BlockSharedHits
 	s.BlockSharedStale += o.BlockSharedStale
 	s.BlockBuilds += o.BlockBuilds
@@ -573,28 +569,6 @@ func (s *Sim) NewExec(m *mach.Machine) *Exec {
 // Work returns the accumulated deterministic work units (compiled node
 // executions plus record publish costs).
 func (x *Exec) Work() uint64 { return x.work }
-
-// FlushLocal drops the Exec's first-level translation caches. Callers that
-// rewrite machine memory behind the Exec's back use it to guarantee no
-// stale translation survives, independent of the page-generation
-// arithmetic that normally invalidates entries. The shared
-// second-level cache needs no flush: its entries are bits-validated on
-// every hit.
-//
-// The flush is O(1) and allocation-free: bumping the table stamps
-// invalidates every slot (including all chain links, which live in block
-// slots) without touching the slot storage.
-func (x *Exec) FlushLocal() {
-	x.utab.stamp++
-	x.btab.stamp++
-	x.lastB = -1
-	if x.utab.slots != nil {
-		x.stats.UnitL1Flushes++
-	}
-	if x.btab.slots != nil {
-		x.stats.BlockL1Flushes++
-	}
-}
 
 // Sim returns the simulator this context executes.
 func (x *Exec) Sim() *Sim { return x.sim }
@@ -838,7 +812,7 @@ func (x *Exec) transUnit(pc uint64) *unit {
 	}
 	mem := x.M.Mem
 	s := &t.slots[t.idx(pc)]
-	if s.stamp == t.stamp && s.pc == pc {
+	if s.u != nil && s.pc == pc {
 		// Epoch first: no store has touched any code page, so the cached
 		// unit is valid without even walking to pc's page.
 		cg := mem.CodeGen()
@@ -852,7 +826,7 @@ func (x *Exec) transUnit(pc uint64) *unit {
 			return s.u
 		}
 		x.stats.UnitL1GenEvictions++
-	} else if s.stamp == t.stamp && s.u != nil {
+	} else if s.u != nil {
 		x.stats.UnitL1Conflicts++
 	}
 	size := x.sim.Spec.InstrSize
@@ -883,7 +857,7 @@ func (x *Exec) transUnit(pc uint64) *unit {
 	// Mark pc's page as code BEFORE capturing the epoch, so every later
 	// store to it is guaranteed to advance the epoch this slot records.
 	mem.MarkCode(pc)
-	*s = uslot{pc: pc, gen: gen, epoch: mem.CodeGen(), stamp: t.stamp, u: u}
+	*s = uslot{pc: pc, gen: gen, epoch: mem.CodeGen(), u: u}
 	return u
 }
 

@@ -10,10 +10,7 @@ package expt
 // backends. VerifyBackendParity enforces exactly that for -backend=both.
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"sync"
 	"time"
 
 	"singlespec/internal/aot"
@@ -66,24 +63,6 @@ func (b Backend) String() string {
 	return "interp"
 }
 
-// defaultAOTCache lazily creates a per-process compile cache for sweeps
-// that did not configure one. Cached binaries are keyed by source hash, so
-// sharing the directory across cells (and reusing it across runs, when the
-// caller passes a persistent path instead) is always sound.
-var (
-	aotCacheOnce sync.Once
-	aotCachePath string
-)
-
-func defaultAOTCache() string {
-	aotCacheOnce.Do(func() {
-		if d, err := os.MkdirTemp("", "ssbench-aot-"); err == nil {
-			aotCachePath = d
-		}
-	})
-	return aotCachePath
-}
-
 // measureCellAOT is measureCell's out-of-process twin: one (ISA, interface)
 // cell measured through the generated runner binary. The schedule is the
 // interpreter path's (kernelSamples.measure), timed by the runner's own
@@ -98,36 +77,9 @@ func measureCellAOT(p *Programs, buildset string, opts core.Options, minDur time
 	if err != nil {
 		return Cell{}, err
 	}
-	cacheDir := cfg.AOTCacheDir
-	if cacheDir == "" {
-		cacheDir = defaultAOTCache()
-	}
-	conv := aot.RunnerConvFor(p.ISA.Conv)
-
-	// Optional in-process transport: build + load the runner as a Go
-	// plugin. Any unavailability (unsupported platform, cgo disabled)
-	// falls back to the subprocess protocol — same payloads, same results.
-	var ph *aot.PluginHandle
-	if cfg.AOTPlugin {
-		pb, perr := aot.BuildPlugin(sim, conv, cacheDir, cfg.Obs)
-		if perr == nil {
-			ph, perr = aot.LoadPlugin(pb.BinPath)
-		}
-		if perr != nil {
-			if !errors.Is(perr, aot.ErrNoPlugin) {
-				return Cell{}, perr
-			}
-			if cfg.Obs != nil {
-				cfg.Obs.Counter("aot.plugin.fallback").Inc()
-			}
-		}
-	}
-	var b *aot.BuildResult
-	if ph == nil {
-		b, err = aot.Build(sim, conv, cacheDir, cfg.Obs)
-		if err != nil {
-			return Cell{}, err
-		}
+	b, err := aot.Build(sim, aot.RunnerConvFor(p.ISA.Conv), cfg.AOTCacheDir, cfg.Obs)
+	if err != nil {
+		return Cell{}, err
 	}
 
 	// Hard deadline per protocol exchange with the runner process: the
@@ -146,20 +98,11 @@ func measureCellAOT(p *Programs, buildset string, opts core.Options, minDur time
 	for idx, prog := range p.Progs {
 		kname := p.Names[idx]
 		err := func() error {
-			// Per kernel one fresh session: a subprocess (runner memory
-			// pages persist across in-process resets), or an exclusive
-			// plugin session whose Init performs the same hard reset. The
-			// pipe watchdog only applies to the subprocess transport; the
-			// in-process plugin has no per-run bound.
-			var r aot.Client
-			if ph != nil {
-				r = ph.Session()
-			} else {
-				sr, err := aot.SpawnWithDeadline(b.BinPath, cfg.Obs, hard)
-				if err != nil {
-					return fmt.Errorf("%s: %w", kname, err)
-				}
-				r = sr
+			// A fresh runner per kernel: runner memory pages persist
+			// across in-process resets.
+			r, err := aot.SpawnWithDeadline(b.BinPath, cfg.Obs, hard)
+			if err != nil {
+				return fmt.Errorf("%s: %w", kname, err)
 			}
 			defer r.Close()
 			if err := r.Init(prog, nil); err != nil {

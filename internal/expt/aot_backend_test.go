@@ -2,6 +2,7 @@ package expt
 
 import (
 	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -46,6 +47,32 @@ func TestAOTBackendCellParity(t *testing.T) {
 		if got.WorkPerInstr != ref.WorkPerInstr {
 			t.Errorf("%s: work/instr diverges: interp %v, aot %v", bs, ref.WorkPerInstr, got.WorkPerInstr)
 		}
+	}
+}
+
+// TestAOTSweepRemovesDefaultCache: a sweep whose AOT cells have no cache
+// directory builds their runners in a temporary cache and removes it before
+// it returns, leaving nothing under TMPDIR.
+func TestAOTSweepRemovesDefaultCache(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	jobs := []cellJob{{progs: testMix(t), buildset: "one_min", backend: BackendAOT}}
+	cells, err := runCells(jobs, Config{Metric: MetricWork}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ce := cells[0].Err; ce != nil {
+		if errors.Is(ce, aot.ErrNoToolchain) {
+			t.Skip("skipping: go toolchain not available on PATH")
+		}
+		t.Fatal(ce)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("sweep left %s under TMPDIR", e.Name())
 	}
 }
 

@@ -12,7 +12,9 @@ package expt
 
 import (
 	"fmt"
+	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,14 +99,9 @@ type Config struct {
 	// both (each cell measured twice; see VerifyBackendParity).
 	Backend Backend
 	// AOTCacheDir is where AOT runner binaries are compiled and cached;
-	// empty means a per-process temporary cache.
+	// empty means a temporary cache that the sweep removes before it
+	// returns.
 	AOTCacheDir string
-	// AOTPlugin asks AOT cells to load the generated runner in process
-	// (go plugin transport) instead of spawning subprocesses. Where the
-	// toolchain cannot build plugins the cell falls back to the subprocess
-	// protocol (aot.ErrNoPlugin), counting aot.plugin.fallback. Results are
-	// identical either way; only transport cost differs.
-	AOTPlugin bool
 	// Obs, when non-nil, receives the sweep's aggregate counters and
 	// histograms: translation-cache traffic, syscall activity, watchdog
 	// checks, and per-cell outcomes. Aggregation is commutative atomic
@@ -167,8 +164,17 @@ func interrupted(ch <-chan struct{}) bool {
 // index, so the rendered tables are identical for any worker count. Every
 // cell runs guarded: a panicking, hung, or failing cell is returned with
 // its Err set while all other cells' results stay intact — the sweep never
-// aborts partway.
-func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
+// aborts partway. AOT jobs with no cfg.AOTCacheDir build their runners in
+// a temporary cache, removed before runCells returns.
+func runCells(jobs []cellJob, cfg Config, minDur time.Duration) ([]Cell, error) {
+	if cfg.AOTCacheDir == "" && slices.ContainsFunc(jobs, func(j cellJob) bool { return j.backend == BackendAOT }) {
+		dir, err := os.MkdirTemp("", "ssbench-aot-")
+		if err != nil {
+			return nil, fmt.Errorf("expt: creating the AOT runner cache: %w", err)
+		}
+		defer os.RemoveAll(dir)
+		cfg.AOTCacheDir = dir
+	}
 	workers := cfg.workers()
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -209,7 +215,7 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
 	}
 	wg.Wait()
 	recordCells(cfg.Obs, results)
-	return results
+	return results, nil
 }
 
 // workPerInstrBuckets bounds the per-cell work-units-per-instruction
@@ -245,13 +251,11 @@ func recordCells(reg *obs.Registry, cells []Cell) {
 		add("core.transcache.unit.l1_hit", cs.UnitL1Hits)
 		add("core.transcache.unit.l1_gen_evict", cs.UnitL1GenEvictions)
 		add("core.transcache.unit.l1_conflict", cs.UnitL1Conflicts)
-		add("core.transcache.unit.l1_flush", cs.UnitL1Flushes)
 		add("core.transcache.unit.shared_hit", cs.UnitSharedHits)
 		add("core.transcache.unit.translations", cs.UnitTranslations)
 		add("core.transcache.block.l1_hit", cs.BlockL1Hits)
 		add("core.transcache.block.l1_gen_evict", cs.BlockL1GenEvictions)
 		add("core.transcache.block.l1_conflict", cs.BlockL1Conflicts)
-		add("core.transcache.block.l1_flush", cs.BlockL1Flushes)
 		add("core.transcache.block.shared_hit", cs.BlockSharedHits)
 		add("core.transcache.block.shared_stale", cs.BlockSharedStale)
 		add("core.transcache.block.builds", cs.BlockBuilds)
@@ -330,7 +334,10 @@ func TableII(cfg Config) ([]Cell, *stats.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cells := runCells(tableIIJobs(cfg, mixes), cfg, cfg.MinDur)
+	cells, err := runCells(tableIIJobs(cfg, mixes), cfg, cfg.MinDur)
+	if err != nil {
+		return nil, nil, err
+	}
 	return cells, renderTableII(cfg, cells), nil
 }
 
@@ -429,7 +436,10 @@ func Ablations(cfg Config) ([]Cell, *stats.Table, error) {
 			jobs = append(jobs, cellJob{progs: progs, buildset: v.bs, opts: v.opts})
 		}
 	}
-	cells := runCells(jobs, cfg, cfg.MinDur)
+	cells, err := runCells(jobs, cfg, cfg.MinDur)
+	if err != nil {
+		return nil, nil, err
+	}
 	t := stats.NewTable(append([]string{"Configuration"}, isa.Names()...)...)
 	for vi, v := range variants {
 		row := []any{v.label}

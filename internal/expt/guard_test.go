@@ -34,6 +34,16 @@ func testMix(t *testing.T) *Programs {
 	return progs
 }
 
+// mustRunCells runs a sweep with no minimum measurement time.
+func mustRunCells(t *testing.T, jobs []cellJob, cfg Config) []Cell {
+	t.Helper()
+	cells, err := runCells(jobs, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
+}
+
 // TestSweepSurvivesPanickingCell injects a panic into one cell of a sweep
 // and checks the containment contract: the panicking cell is marked with a
 // typed error (after its one retry), every other cell's measurement is
@@ -53,7 +63,7 @@ func TestSweepSurvivesPanickingCell(t *testing.T) {
 			}
 		},
 	}
-	cells := runCells(jobs, cfg, 0)
+	cells := mustRunCells(t, jobs, cfg)
 	for idx, c := range cells {
 		bs := buildsets[idx]
 		if bs == "block_min" {
@@ -95,7 +105,7 @@ func TestSweepSurvivesPanickingCell(t *testing.T) {
 // deterministic totals, with Attempts = 2.
 func TestCellRetryRecoversTransientPanic(t *testing.T) {
 	jobs := []cellJob{{progs: testMix(t), buildset: "one_min"}}
-	clean := runCells(jobs, Config{Metric: MetricWork}, 0)
+	clean := mustRunCells(t, jobs, Config{Metric: MetricWork})
 	if clean[0].Err != nil {
 		t.Fatal(clean[0].Err)
 	}
@@ -108,7 +118,7 @@ func TestCellRetryRecoversTransientPanic(t *testing.T) {
 			}
 		},
 	}
-	c := runCells(jobs, cfg, 0)[0]
+	c := mustRunCells(t, jobs, cfg)[0]
 	if c.Err != nil {
 		t.Fatalf("retry did not recover: %v", c.Err)
 	}
@@ -137,7 +147,7 @@ func TestInterruptedSweepWindsDown(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 	cfg := Config{Workers: 2, Metric: MetricWork, Interrupt: stop}
-	for _, c := range runCells(jobs, cfg, 0) {
+	for _, c := range mustRunCells(t, jobs, cfg) {
 		if c.Err == nil || c.Err.Kind != CellInterrupted {
 			t.Errorf("cell %s/%s not marked interrupted: %+v", c.ISA, c.Buildset, c.Err)
 		}
@@ -157,7 +167,7 @@ func TestMidRunInterruptIsTyped(t *testing.T) {
 		Interrupt:     stop,
 		testChunkHook: func(r *Runner) { once.Do(func() { close(stop) }) },
 	}
-	cells := runCells([]cellJob{{progs: progs, buildset: "one_min"}}, cfg, 0)
+	cells := mustRunCells(t, []cellJob{{progs: progs, buildset: "one_min"}}, cfg)
 	ce := cells[0].Err
 	if ce == nil || ce.Kind != CellInterrupted {
 		t.Fatalf("cell error = %+v, want interrupted", ce)
