@@ -4,7 +4,9 @@
 // design ablations. Measurement cells fan out across a worker pool; output
 // is identical for any worker count (and byte-identical under -metric work,
 // which reports deterministic engine work units instead of wall-clock
-// MIPS).
+// MIPS). Cells are measured on the closure interpreter; the AOT runner
+// backend is timed end to end by the benchmark module (sh bench/run.sh)
+// and checked against the interpreter by the aot.DiffProgram suites.
 //
 // Usage:
 //
@@ -14,7 +16,6 @@
 //	ssbench -faults 42       # deterministic fault-injection campaign
 //	ssbench -cell-timeout 30s -table 2          # watchdogged sweep
 //	ssbench -metric work -metrics-out metrics.json   # counters + manifest
-//	ssbench -table 2 -backend both              # interpreter vs. AOT runner parity sweep
 //	ssbench -pprof localhost:6060               # live profiling endpoint
 //
 // A sweep interrupted by SIGINT/SIGTERM winds down cleanly (cells stop at
@@ -58,8 +59,6 @@ func main() {
 	cellTimeout := flag.Duration("cell-timeout", 0, "wall-clock watchdog per measurement cell (0 disables); hung cells are marked errored instead of stalling the sweep")
 	metricsOut := flag.String("metrics-out", "", "write a JSON run manifest + metrics snapshot to this file (see EXPERIMENTS.md)")
 	benchOut := flag.String("bench-out", "", "write the Table II speed grid as JSON (schema "+expt.BenchSchema+") to this file; see RESULTS.md")
-	backendName := flag.String("backend", "interp", "Table II execution backend: interp (in-process), aot (generated runner binaries), or both (each cell measured twice, with a deterministic-parity check)")
-	aotCache := flag.String("aot-cache", "", "directory caching compiled AOT runner binaries (keyed by source hash); empty uses a temporary cache removed when the sweep ends")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 	flag.Parse()
 
@@ -126,13 +125,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	backend, err := expt.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
 	cfg := expt.Config{Scale: *scale, MinDur: *dur, Workers: *parallel, Metric: metric,
-		CellTimeout: *cellTimeout, Obs: reg, Interrupt: interrupt,
-		Backend: backend, AOTCacheDir: *aotCache}
+		CellTimeout: *cellTimeout, Obs: reg, Interrupt: interrupt}
 
 	if *table == 0 || *table == 1 {
 		t1, err := expt.TableI()
@@ -164,21 +158,6 @@ func main() {
 		}
 		fmt.Println(t2)
 		reportCellErrors(cells)
-		if backend == expt.BackendBoth {
-			// Deterministic parity: the AOT backend must reproduce the
-			// interpreter's work accounting exactly (the speed columns are
-			// the comparison; the work columns are the contract).
-			divs := expt.VerifyBackendParity(cells, metric == expt.MetricWork)
-			for _, d := range divs {
-				fmt.Fprintln(os.Stderr, "ssbench: backend divergence:", d)
-			}
-			if len(divs) > 0 {
-				sawCellErrors = true
-			} else {
-				fmt.Println("Backend parity: interpreter and AOT work accounting identical on all cells.")
-				fmt.Println()
-			}
-		}
 		fmt.Println("### Headline: lowest-detail vs. highest-detail interface")
 		fmt.Println()
 		fmt.Println(expt.Headline(cells, metric))

@@ -31,12 +31,8 @@ type BenchOut struct {
 // BenchCell is one grid entry. Numbers are zero (and Error set) for cells
 // whose measurement failed.
 type BenchCell struct {
-	ISA      string `json:"isa"`
-	Buildset string `json:"buildset"`
-	// Backend is "aot" for cells measured by the generated runner binary;
-	// empty (omitted) for the in-process interpreter. Additive: pre-AOT
-	// consumers see the same document for interpreter-only sweeps.
-	Backend      string  `json:"backend,omitempty"`
+	ISA          string  `json:"isa"`
+	Buildset     string  `json:"buildset"`
 	MIPS         float64 `json:"mips"`
 	NsPerInstr   float64 `json:"ns_per_instr"`
 	WorkPerInstr float64 `json:"work_per_instr"`
@@ -61,7 +57,6 @@ func WriteBenchJSON(path string, cfg Config, cells []Cell) error {
 		bc := BenchCell{
 			ISA:          c.ISA,
 			Buildset:     c.Buildset,
-			Backend:      c.Backend,
 			MIPS:         c.MIPS,
 			NsPerInstr:   c.NsPerInstr,
 			WorkPerInstr: c.WorkPerInstr,

@@ -12,9 +12,7 @@ package expt
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -94,14 +92,6 @@ type Config struct {
 	// closed: running cells stop at the next watchdog check and unstarted
 	// cells are marked interrupted without running.
 	Interrupt <-chan struct{}
-	// Backend selects the execution engine measuring TableII cells: the
-	// in-process interpreter (default), the generated AOT runner binary, or
-	// both (each cell measured twice; see VerifyBackendParity).
-	Backend Backend
-	// AOTCacheDir is where AOT runner binaries are compiled and cached;
-	// empty means a temporary cache that the sweep removes before it
-	// returns.
-	AOTCacheDir string
 	// Obs, when non-nil, receives the sweep's aggregate counters and
 	// histograms: translation-cache traffic, syscall activity, watchdog
 	// checks, and per-cell outcomes. Aggregation is commutative atomic
@@ -125,26 +115,11 @@ func (c Config) workers() int {
 	return runtime.NumCPU()
 }
 
-// backends lists the backends a TableII sweep measures, in table order.
-func (c Config) backends() []Backend {
-	switch c.Backend {
-	case BackendAOT:
-		return []Backend{BackendAOT}
-	case BackendBoth:
-		return []Backend{BackendInterp, BackendAOT}
-	}
-	return []Backend{BackendInterp}
-}
-
-// cellJob is one {ISA × buildset × options × backend} measurement to
-// schedule.
+// cellJob is one {ISA × buildset × options} measurement to schedule.
 type cellJob struct {
 	progs    *Programs
 	buildset string
 	opts     core.Options
-	// backend is BackendInterp or BackendAOT per job; BackendBoth fans out
-	// into one job of each before scheduling.
-	backend Backend
 }
 
 // interrupted reports whether ch (which may be nil) has been closed.
@@ -164,17 +139,8 @@ func interrupted(ch <-chan struct{}) bool {
 // index, so the rendered tables are identical for any worker count. Every
 // cell runs guarded: a panicking, hung, or failing cell is returned with
 // its Err set while all other cells' results stay intact — the sweep never
-// aborts partway. AOT jobs with no cfg.AOTCacheDir build their runners in
-// a temporary cache, removed before runCells returns.
-func runCells(jobs []cellJob, cfg Config, minDur time.Duration) ([]Cell, error) {
-	if cfg.AOTCacheDir == "" && slices.ContainsFunc(jobs, func(j cellJob) bool { return j.backend == BackendAOT }) {
-		dir, err := os.MkdirTemp("", "ssbench-aot-")
-		if err != nil {
-			return nil, fmt.Errorf("expt: creating the AOT runner cache: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		cfg.AOTCacheDir = dir
-	}
+// aborts partway.
+func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
 	workers := cfg.workers()
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -201,7 +167,6 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) ([]Cell, error) 
 				// Shutdown: unstarted cells are marked, not run.
 				if interrupted(cfg.Interrupt) {
 					results[idx] = Cell{ISA: j.progs.ISA.Name, Buildset: j.buildset,
-						Backend: j.backend.cellTag(),
 						Err: &CellError{ISA: j.progs.ISA.Name, Buildset: j.buildset,
 							Kind: CellInterrupted, Err: errInterrupted}}
 					continue
@@ -215,7 +180,7 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) ([]Cell, error) 
 	}
 	wg.Wait()
 	recordCells(cfg.Obs, results)
-	return results, nil
+	return results
 }
 
 // workPerInstrBuckets bounds the per-cell work-units-per-instruction
@@ -334,78 +299,53 @@ func TableII(cfg Config) ([]Cell, *stats.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	cells, err := runCells(tableIIJobs(cfg, mixes), cfg, cfg.MinDur)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cells, renderTableII(cfg, cells), nil
+	cells := runCells(tableIIJobs(mixes), cfg, cfg.MinDur)
+	return cells, renderTableII(cfg.Metric, cells), nil
 }
 
 // tableIIJobs lists the Table II sweep's cells over mixes (one per ISA, in
-// isa.Names() order) in the order TableII schedules them: backend-major,
-// ISA-major, buildset-minor.
-func tableIIJobs(cfg Config, mixes []*Programs) []cellJob {
+// isa.Names() order) in the order TableII schedules them: ISA-major,
+// buildset-minor.
+func tableIIJobs(mixes []*Programs) []cellJob {
 	var jobs []cellJob
-	for _, be := range cfg.backends() {
-		for _, p := range mixes {
-			for _, bs := range isa.StdBuildsets {
-				jobs = append(jobs, cellJob{progs: p, buildset: bs, backend: be})
-			}
+	for _, p := range mixes {
+		for _, bs := range isa.StdBuildsets {
+			jobs = append(jobs, cellJob{progs: p, buildset: bs})
 		}
 	}
 	return jobs
 }
 
-// renderTableII renders the Table II grid from measured cells under cfg's
-// metric and backend selection.
-func renderTableII(cfg Config, cells []Cell) *stats.Table {
+// renderTableII renders the Table II grid from measured cells under m.
+func renderTableII(m Metric, cells []Cell) *stats.Table {
 	byBS := map[string]map[string]Cell{}
 	for _, c := range cells {
-		k := c.Buildset + "/" + c.Backend
-		if byBS[k] == nil {
-			byBS[k] = map[string]Cell{}
+		if byBS[c.Buildset] == nil {
+			byBS[c.Buildset] = map[string]Cell{}
 		}
-		byBS[k][c.ISA] = c
+		byBS[c.Buildset][c.ISA] = c
 	}
 	// Columns come from the same isa.Names() list buildAllMixes sweeps: a
 	// newly registered ISA lands in the rendered table and geomeans the
 	// moment it is swept, instead of being measured and silently dropped.
 	names := isa.Names()
 	t := stats.NewTable(append([]string{"Semantic", "Informational", "Spec."}, names...)...)
-	for _, be := range cfg.backends() {
-		tag := be.cellTag()
-		for _, bs := range isa.StdBuildsets {
-			sem, info, spec := rowLabel(bs)
-			if be == BackendAOT {
-				sem += " (aot)"
-			}
-			row := byBS[bs+"/"+tag]
-			out := []any{sem, info, spec}
-			for _, name := range names {
-				out = append(out, cfg.Metric.entry(row[name]))
-			}
-			t.Row(out...)
-		}
-		// Summary row per backend: the per-ISA geometric mean over the ok
-		// interfaces. ERR cells are skipped in cellGeoMean — their zero
-		// metrics would violate GeoMean's positive-input contract and wipe
-		// the row.
-		label := "ok cells"
-		if be == BackendAOT {
-			label = "ok aot cells"
-		}
-		var beCells []Cell
-		for _, c := range cells {
-			if c.Backend == tag {
-				beCells = append(beCells, c)
-			}
-		}
-		geo := []any{"geomean", label, ""}
+	for _, bs := range isa.StdBuildsets {
+		sem, info, spec := rowLabel(bs)
+		out := []any{sem, info, spec}
 		for _, name := range names {
-			geo = append(geo, cellGeoMean(beCells, name, cfg.Metric))
+			out = append(out, m.entry(byBS[bs][name]))
 		}
-		t.Row(geo...)
+		t.Row(out...)
 	}
+	// Summary row: the per-ISA geometric mean over the ok interfaces. ERR
+	// cells are skipped in cellGeoMean — their zero metrics would violate
+	// GeoMean's positive-input contract and wipe the row.
+	geo := []any{"geomean", "ok cells", ""}
+	for _, name := range names {
+		geo = append(geo, cellGeoMean(cells, name, m))
+	}
+	t.Row(geo...)
 	return t
 }
 
@@ -436,10 +376,7 @@ func Ablations(cfg Config) ([]Cell, *stats.Table, error) {
 			jobs = append(jobs, cellJob{progs: progs, buildset: v.bs, opts: v.opts})
 		}
 	}
-	cells, err := runCells(jobs, cfg, cfg.MinDur)
-	if err != nil {
-		return nil, nil, err
-	}
+	cells := runCells(jobs, cfg, cfg.MinDur)
 	t := stats.NewTable(append([]string{"Configuration"}, isa.Names()...)...)
 	for vi, v := range variants {
 		row := []any{v.label}

@@ -13,12 +13,11 @@ import (
 // agree with the swept cell list: both derive from isa.Names(), so a
 // registered fourth ISA is swept AND rendered, never silently dropped.
 func TestRenderTableIIColumnsMatchSpecs(t *testing.T) {
-	cfg := Config{Metric: MetricWork}
 	mixes, err := buildAllMixes(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := tableIIJobs(cfg, mixes)
+	jobs := tableIIJobs(mixes)
 	sweptISAs := map[string]bool{}
 	var sweptOrder []string
 	for _, j := range jobs {
@@ -37,7 +36,7 @@ func TestRenderTableIIColumnsMatchSpecs(t *testing.T) {
 			WorkPerInstr: float64(indexOf(sweptOrder, name) + 2),
 			MIPS:         1, NsPerInstr: 1, Instret: 1, WorkUnits: 1, Attempts: 1})
 	}
-	table := renderTableII(cfg, cells)
+	table := renderTableII(MetricWork, cells)
 
 	header := table.Header()
 	wantHeader := append([]string{"Semantic", "Informational", "Spec."}, isa.Names()...)

@@ -2,7 +2,9 @@
 // evaluation artifacts: Table I (description characteristics), Table II
 // (simulation speed per interface), Table III (costs of detail), and the
 // footnote-5 interpreted-vs-translated ablation. It is shared by the
-// ssbench tool and the repository's top-level benchmarks.
+// ssbench tool and the repository's top-level benchmarks. Every cell is
+// measured on the closure interpreter; the AOT runner backend is timed end
+// to end by the benchmark module in bench/.
 package expt
 
 import (
@@ -127,9 +129,6 @@ func (r *Runner) Run() (instrs, work uint64, err error) {
 type Cell struct {
 	ISA      string
 	Buildset string
-	// Backend names the execution engine that measured the cell: "" for
-	// the in-process interpreter, "aot" for the generated runner binary.
-	Backend string
 	// MIPS is the geometric mean over the mix of simulated instructions
 	// per microsecond of host time (the paper's Table II metric).
 	MIPS float64
@@ -200,7 +199,9 @@ func MeasureCell(p *Programs, buildset string, opts core.Options, minDur time.Du
 
 // measureCell is MeasureCell bounded by lim: the deadline both cuts off
 // further repeat runs (gracefully, keeping the measurements made) and
-// interrupts a run that overstays it (as an error).
+// interrupts a run that overstays it (as an error). Each kernel gets a
+// warmup run (which validates the program and warms the caches), then
+// measured runs until minDur has elapsed or the deadline passes.
 //
 // det selects the deterministic schedule the work metric reports under:
 // one warmup run plus exactly one measured run per kernel, regardless of
@@ -214,74 +215,48 @@ func measureCell(p *Programs, buildset string, opts core.Options, minDur time.Du
 		return Cell{}, err
 	}
 	cell := Cell{ISA: p.ISA.Name, Buildset: buildset}
-	var k kernelSamples
+	var mips, nsPer, workPer []float64
 	for idx, prog := range p.Progs {
 		runner := NewRunner(sim, p.ISA, prog)
-		runOnce := func() (instrs, wk uint64, elapsed time.Duration, err error) {
+		var instrs, work uint64
+		var elapsed time.Duration
+		for run := 0; ; run++ {
 			start := time.Now()
-			instrs, wk, err = runner.RunLimited(lim)
+			in, wk, err := runner.RunLimited(lim)
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("%s: %w", p.Names[idx], err)
+				return Cell{}, fmt.Errorf("%s: %w", p.Names[idx], err)
 			}
-			cell.Instret += instrs
+			el := time.Since(start)
+			cell.Instret += in
 			cell.WorkUnits += wk
-			return instrs, wk, time.Since(start), nil
+			if run == 0 {
+				continue // warmup
+			}
+			instrs += in
+			work += wk
+			elapsed += el
+			if det || elapsed >= minDur {
+				break // det: a fixed schedule keeps the counters host-independent
+			}
+			if !lim.Deadline.IsZero() && !time.Now().Before(lim.Deadline) {
+				break // keep what we measured; the watchdog is about hangs
+			}
 		}
-		if err := k.measure(runOnce, minDur, lim, det); err != nil {
-			return Cell{}, err
+		if elapsed <= 0 {
+			// Timer granularity floor: keeps the geomean inputs positive.
+			elapsed = time.Nanosecond
 		}
+		ns := float64(elapsed.Nanoseconds()) / float64(instrs)
+		mips = append(mips, 1e3/ns)
+		nsPer = append(nsPer, ns)
+		workPer = append(workPer, float64(work)/float64(instrs))
 		cell.Stats.merge(runner)
 	}
 	cell.Stats.Shared = sim.SharedCacheStats()
-	k.fill(&cell)
+	cell.MIPS = stats.GeoMean(mips)
+	cell.NsPerInstr = stats.GeoMean(nsPer)
+	cell.WorkPerInstr = stats.GeoMean(workPer)
 	return cell, nil
-}
-
-// kernelSamples collects the per-kernel geomean inputs of one cell.
-type kernelSamples struct{ mips, ns, work []float64 }
-
-// measure runs one kernel's schedule on either backend: a warmup run
-// (which validates the program and warms the caches), then measured runs
-// until minDur has elapsed — exactly one under det — or the deadline
-// passes. runOnce executes the program once and reports its retired
-// instructions, work units and host time.
-func (k *kernelSamples) measure(runOnce func() (instrs, work uint64, elapsed time.Duration, err error), minDur time.Duration, lim Limits, det bool) error {
-	if _, _, _, err := runOnce(); err != nil {
-		return err
-	}
-	var instrs, work uint64
-	var elapsed time.Duration
-	for {
-		in, wk, el, err := runOnce()
-		if err != nil {
-			return err
-		}
-		instrs += in
-		work += wk
-		elapsed += el
-		if det || elapsed >= minDur {
-			break // det: a fixed schedule keeps the counters host-independent
-		}
-		if !lim.Deadline.IsZero() && !time.Now().Before(lim.Deadline) {
-			break // keep what we measured; the watchdog is about hangs
-		}
-	}
-	if elapsed <= 0 {
-		// Timer granularity floor: keeps the geomean inputs positive.
-		elapsed = time.Nanosecond
-	}
-	ns := float64(elapsed.Nanoseconds()) / float64(instrs)
-	k.mips = append(k.mips, 1e3/ns)
-	k.ns = append(k.ns, ns)
-	k.work = append(k.work, float64(work)/float64(instrs))
-	return nil
-}
-
-// fill sets the cell's speed metrics to the geomeans over its kernels.
-func (k *kernelSamples) fill(c *Cell) {
-	c.MIPS = stats.GeoMean(k.mips)
-	c.NsPerInstr = stats.GeoMean(k.ns)
-	c.WorkPerInstr = stats.GeoMean(k.work)
 }
 
 // cellGeoMean returns the geometric mean of the metric over the ok cells

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"time"
-
-	"singlespec/internal/aot"
 )
 
 // CellErrorKind classifies why a sweep cell failed.
@@ -140,9 +138,9 @@ const retryPause = 25 * time.Millisecond
 // runCellGuarded measures one cell under cfg's watchdog, converting panics
 // and limit violations into a typed *CellError instead of letting them
 // escape the worker. Transient kinds (panic, timeout) get exactly one
-// retry, which re-measures the cell from scratch on either backend;
-// measurement errors and interrupts are reported immediately, since a
-// retry would reproduce them (or the process is shutting down).
+// retry, which re-measures the cell from scratch; measurement errors and
+// interrupts are reported immediately, since a retry would reproduce them
+// (or the process is shutting down).
 func runCellGuarded(j cellJob, cfg Config, minDur time.Duration) Cell {
 	start := time.Now()
 	var last *CellError
@@ -162,7 +160,7 @@ func runCellGuarded(j cellJob, cfg Config, minDur time.Duration) Cell {
 			break
 		}
 	}
-	return Cell{ISA: j.progs.ISA.Name, Buildset: j.buildset, Backend: j.backend.cellTag(),
+	return Cell{ISA: j.progs.ISA.Name, Buildset: j.buildset,
 		Err: last, Attempts: last.Attempts, Wall: time.Since(start)}
 }
 
@@ -184,23 +182,11 @@ func runCellOnce(j cellJob, cfg Config, minDur time.Duration, attempt int) (c Ce
 	if cfg.CellTimeout > 0 {
 		lim.Deadline = time.Now().Add(cfg.CellTimeout)
 	}
-	det := cfg.Metric == MetricWork
-	var cell Cell
-	var err error
-	if j.backend == BackendAOT {
-		cell, err = measureCellAOT(j.progs, j.buildset, j.opts, minDur, lim, det, cfg)
-	} else {
-		cell, err = measureCell(j.progs, j.buildset, j.opts, minDur, lim, det)
-	}
+	cell, err := measureCell(j.progs, j.buildset, j.opts, minDur, lim, cfg.Metric == MetricWork)
 	if err != nil {
 		kind := CellFailed
-		var aotTimeout *aot.TimeoutError
 		switch {
 		case errors.Is(err, errDeadline):
-			kind = CellTimeout
-		case errors.As(err, &aotTimeout):
-			// A wedged runner process hit its hard deadline and was killed;
-			// transient, so the guard's bounded retry applies.
 			kind = CellTimeout
 		case errors.Is(err, errInterrupted):
 			kind = CellInterrupted

@@ -34,16 +34,6 @@ func testMix(t *testing.T) *Programs {
 	return progs
 }
 
-// mustRunCells runs a sweep with no minimum measurement time.
-func mustRunCells(t *testing.T, jobs []cellJob, cfg Config) []Cell {
-	t.Helper()
-	cells, err := runCells(jobs, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cells
-}
-
 // TestSweepSurvivesPanickingCell injects a panic into one cell of a sweep
 // and checks the containment contract: the panicking cell is marked with a
 // typed error (after its one retry), every other cell's measurement is
@@ -63,7 +53,7 @@ func TestSweepSurvivesPanickingCell(t *testing.T) {
 			}
 		},
 	}
-	cells := mustRunCells(t, jobs, cfg)
+	cells := runCells(jobs, cfg, 0)
 	for idx, c := range cells {
 		bs := buildsets[idx]
 		if bs == "block_min" {
@@ -105,7 +95,7 @@ func TestSweepSurvivesPanickingCell(t *testing.T) {
 // deterministic totals, with Attempts = 2.
 func TestCellRetryRecoversTransientPanic(t *testing.T) {
 	jobs := []cellJob{{progs: testMix(t), buildset: "one_min"}}
-	clean := mustRunCells(t, jobs, Config{Metric: MetricWork})
+	clean := runCells(jobs, Config{Metric: MetricWork}, 0)
 	if clean[0].Err != nil {
 		t.Fatal(clean[0].Err)
 	}
@@ -118,7 +108,7 @@ func TestCellRetryRecoversTransientPanic(t *testing.T) {
 			}
 		},
 	}
-	c := mustRunCells(t, jobs, cfg)[0]
+	c := runCells(jobs, cfg, 0)[0]
 	if c.Err != nil {
 		t.Fatalf("retry did not recover: %v", c.Err)
 	}
@@ -147,7 +137,7 @@ func TestInterruptedSweepWindsDown(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)
 	cfg := Config{Workers: 2, Metric: MetricWork, Interrupt: stop}
-	for _, c := range mustRunCells(t, jobs, cfg) {
+	for _, c := range runCells(jobs, cfg, 0) {
 		if c.Err == nil || c.Err.Kind != CellInterrupted {
 			t.Errorf("cell %s/%s not marked interrupted: %+v", c.ISA, c.Buildset, c.Err)
 		}
@@ -167,7 +157,7 @@ func TestMidRunInterruptIsTyped(t *testing.T) {
 		Interrupt:     stop,
 		testChunkHook: func(r *Runner) { once.Do(func() { close(stop) }) },
 	}
-	cells := mustRunCells(t, []cellJob{{progs: progs, buildset: "one_min"}}, cfg)
+	cells := runCells([]cellJob{{progs: progs, buildset: "one_min"}}, cfg, 0)
 	ce := cells[0].Err
 	if ce == nil || ce.Kind != CellInterrupted {
 		t.Fatalf("cell error = %+v, want interrupted", ce)

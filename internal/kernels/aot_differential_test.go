@@ -73,9 +73,11 @@ func TestSeededAOTDifferential(t *testing.T) {
 }
 
 // TestKernelsAOTDifferential diffs every real benchmark kernel at a reduced
-// problem size on every ISA under one buildset per interface mode. The
-// random programs above stress instruction mixes; this pins the actual
-// workloads the experiment tables are built from.
+// problem size on every ISA under one buildset per interface mode, plus
+// block_min, whose runner publishes no records, so its evidence is final
+// state and profile-reconstructed work alone. The random programs above
+// stress instruction mixes; this pins the actual workloads the experiment
+// tables are built from.
 func TestKernelsAOTDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping kernel sweep in -short mode")
@@ -93,7 +95,7 @@ func TestKernelsAOTDifferential(t *testing.T) {
 	}
 	for _, name := range isa.Names() {
 		i := isatest.Load(t, name)
-		for _, buildset := range []string{"one_all", "block_decode", "step_all_spec"} {
+		for _, buildset := range []string{"one_all", "block_decode", "block_min", "step_all_spec"} {
 			sim, err := core.Synthesize(i.Spec, buildset, core.Options{})
 			if err != nil {
 				t.Fatal(err)
