@@ -16,7 +16,6 @@
 //	ssbench -faults 42       # deterministic fault-injection campaign
 //	ssbench -cell-timeout 30s -table 2          # watchdogged sweep
 //	ssbench -metric work -metrics-out metrics.json   # counters + manifest
-//	ssbench -pprof localhost:6060               # live profiling endpoint
 //
 // A sweep interrupted by SIGINT/SIGTERM winds down cleanly (cells stop at
 // the next watchdog check, and the tables and manifest are written with
@@ -26,8 +25,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -59,7 +56,6 @@ func main() {
 	cellTimeout := flag.Duration("cell-timeout", 0, "wall-clock watchdog per measurement cell (0 disables); hung cells are marked errored instead of stalling the sweep")
 	metricsOut := flag.String("metrics-out", "", "write a JSON run manifest + metrics snapshot to this file (see EXPERIMENTS.md)")
 	benchOut := flag.String("bench-out", "", "write the Table II speed grid as JSON (schema "+expt.BenchSchema+") to this file; see RESULTS.md")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 	flag.Parse()
 
 	// Signal handling: the first SIGINT/SIGTERM asks the sweep to wind down
@@ -81,15 +77,6 @@ func main() {
 		close(interrupt)
 		signal.Stop(sigCh)
 	}()
-
-	if *pprofAddr != "" {
-		go func() {
-			// DefaultServeMux carries the pprof handlers via the blank import.
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "ssbench: pprof:", err)
-			}
-		}()
-	}
 
 	var reg *obs.Registry
 	var man *obs.Manifest

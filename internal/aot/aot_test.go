@@ -6,13 +6,17 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"singlespec/internal/asm"
 	"singlespec/internal/core"
+	"singlespec/internal/faultinj"
 	"singlespec/internal/isa"
 	"singlespec/internal/kernels"
+	"singlespec/internal/mach"
 	"singlespec/internal/obs"
 )
 
@@ -92,6 +96,26 @@ func kernelProgram(t *testing.T, i *isa.ISA, name string, n int) *asm.Program {
 	return prog
 }
 
+// diffFresh diffs prog against a freshly spawned runner whose result
+// tamper, when non-nil, alters first.
+func diffFresh(t *testing.T, sim *core.Sim, i *isa.ISA, prog *asm.Program, binPath string, tamper func(*RunResult)) *faultinj.Divergence {
+	t.Helper()
+	r, err := Spawn(binPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var c Client = r
+	if tamper != nil {
+		c = tamperClient{r, tamper}
+	}
+	d, err := DiffProgram(sim, i, prog, c, DiffConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestDiffKernelAcrossModes is the package smoke test: one kernel through
 // one buildset of each interface mode on each ISA, interpreter vs. runner,
 // zero divergences.
@@ -102,11 +126,7 @@ func TestDiffKernelAcrossModes(t *testing.T) {
 				i, sim := loadSim(t, isaName, buildset)
 				b := buildRunner(t, i, sim, nil)
 				prog := kernelProgram(t, i, "fib_iter", 12)
-				d, err := DiffProgram(sim, i, prog, b.BinPath, DiffConfig{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d != nil {
+				if d := diffFresh(t, sim, i, prog, b.BinPath, nil); d != nil {
 					t.Fatalf("divergence: %v", d)
 				}
 			})
@@ -114,9 +134,79 @@ func TestDiffKernelAcrossModes(t *testing.T) {
 	}
 }
 
-// TestRunnerDeterministicAcrossRuns checks that two runs of one program in
-// one runner process (the warmup + measured schedule the bench path uses)
-// report identical instret, profile-reconstructed work, and result word.
+// tamperClient is a live runner session whose every RunResult is altered
+// before the caller sees it.
+type tamperClient struct {
+	Client
+	tamper func(*RunResult)
+}
+
+func (c tamperClient) Run(maxInstr uint64, wantRecs bool, resultAddr uint64) (*RunResult, error) {
+	res, err := c.Client.Run(maxInstr, wantRecs, resultAddr)
+	if err == nil {
+		c.tamper(res)
+	}
+	return res, err
+}
+
+// TestDiffProgramReportsTampering shows that DiffProgram fires: a real
+// runner whose result is altered in exactly one compared item yields a
+// divergence naming that item, and the unaltered runner yields none. On
+// block_min, which publishes no records, the final-state items are the
+// whole evidence.
+func TestDiffProgramReportsTampering(t *testing.T) {
+	tampers := []struct {
+		name    string
+		records bool   // needs a record-publishing buildset
+		want    string // names the item in Divergence.Detail; "" = no divergence
+		tamper  func(*RunResult)
+	}{
+		{"untampered", false, "", func(*RunResult) {}},
+		{"record value", true, "visible field", func(r *RunResult) { r.Records[len(r.Records)/2].Vals[0] ^= 1 }},
+		{"last record dropped", true, "record stream length", func(r *RunResult) { r.Records = r.Records[:len(r.Records)-1] }},
+		{"register", false, "register", func(r *RunResult) { r.Spaces[0][1] ^= 1 }},
+		{"final pc", false, "final pc", func(r *RunResult) { r.PC += 4 }},
+		{"instret", false, "instret", func(r *RunResult) { r.Instret++ }},
+		{"exit code", false, "exit status", func(r *RunResult) { r.ExitCode++ }},
+		{"final fault", false, "final fault", func(r *RunResult) { r.Fault = mach.FaultIllegal }},
+		{"stdout", false, "stdout", func(r *RunResult) { r.Stdout = append(r.Stdout, '!') }},
+		{"result word", false, "result word", func(r *RunResult) { r.ResultWord ^= 1 }},
+	}
+	for _, bs := range []struct {
+		name    string
+		records bool
+	}{{"one_decode", true}, {"block_min", false}} {
+		i, sim := loadSim(t, "alpha64", bs.name)
+		b := buildRunner(t, i, sim, nil)
+		prog := kernelProgram(t, i, "fib_iter", 12)
+		if prog.Symbols["result"] == 0 {
+			t.Fatal("fib_iter has no result word")
+		}
+		for _, tc := range tampers {
+			if tc.records && !bs.records {
+				continue
+			}
+			t.Run(bs.name+"/"+tc.name, func(t *testing.T) {
+				d := diffFresh(t, sim, i, prog, b.BinPath, tc.tamper)
+				switch {
+				case tc.want == "" && d != nil:
+					t.Fatalf("untampered runner diverged: %v", d)
+				case tc.want != "" && d == nil:
+					t.Fatal("tampered run not reported")
+				case tc.want != "" && !strings.Contains(d.Detail, tc.want):
+					t.Fatalf("divergence does not name %q: %v", tc.want, d)
+				}
+			})
+		}
+	}
+}
+
+// TestRunnerDeterministicAcrossRuns checks that runs of one program in one
+// runner process (the warmup + measured schedule the bench path uses)
+// report identical final state, and that every run after the first
+// publishes the same record stream. The first run's stream differs: field
+// storage persists across runs, so a field an instruction does not write
+// reads zero in the first run and the previous run's last value after it.
 func TestRunnerDeterministicAcrossRuns(t *testing.T) {
 	i, sim := loadSim(t, "alpha64", "one_decode")
 	b := buildRunner(t, i, sim, nil)
@@ -130,27 +220,24 @@ func TestRunnerDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultAddr := prog.Symbols["result"]
-	var prev *RunResult
+	var runs []*RunResult
 	for run := 0; run < 3; run++ {
-		res, err := r.Run(1<<22, false, resultAddr)
+		res, err := r.Run(1<<22, true, resultAddr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Halted {
 			t.Fatalf("run %d did not halt (fault %d at pc %#x)", run, res.Fault, res.PC)
 		}
-		w, err := ComputeWork(sim, res)
-		if err != nil {
-			t.Fatal(err)
+		res.ElapsedNs = 0 // wall clock
+		if run > 0 && !reflect.DeepEqual(res.FinalState, runs[0].FinalState) {
+			t.Fatalf("run %d final state %+v, run 0 %+v", run, res.FinalState, runs[0].FinalState)
 		}
-		if prev != nil {
-			pw, _ := ComputeWork(sim, prev)
-			if res.Instret != prev.Instret || w != pw || res.ResultWord != prev.ResultWord {
-				t.Fatalf("run %d not deterministic: instret %d/%d work %d/%d result %#x/%#x",
-					run, res.Instret, prev.Instret, w, pw, res.ResultWord, prev.ResultWord)
-			}
-		}
-		prev = res
+		runs = append(runs, res)
+	}
+	if !reflect.DeepEqual(runs[2].Records, runs[1].Records) {
+		t.Fatalf("runs 1 and 2 published different record streams (%d and %d records)",
+			len(runs[1].Records), len(runs[2].Records))
 	}
 }
 
@@ -310,26 +397,6 @@ func TestBuildCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestComputeWorkRejectsUndecodableProfile: a profile entry that does not
-// decode must be an error, not a bogus total.
-func TestComputeWorkRejectsUndecodableProfile(t *testing.T) {
-	_, sim := loadSim(t, "alpha64", "one_min")
-	bits, found := uint32(0), false
-	for probe := uint32(0); probe < 1<<16 && !found; probe++ {
-		if _, ok := sim.DynamicUnitWork(probe << 16); !ok {
-			bits, found = probe<<16, true
-		}
-	}
-	if !found {
-		t.Skip("no undecodable encoding found in probe range")
-	}
-	res := &RunResult{}
-	res.Profile = []ProfEntry{{PC: 0x10000, Bits: bits, Count: 1}}
-	if _, err := ComputeWork(sim, res); err == nil {
-		t.Fatal("ComputeWork accepted an undecodable profile entry")
-	}
-}
-
 // ---- protocol decoder hardening ----
 
 func validHello() []byte {
@@ -366,7 +433,7 @@ func validRecords(nVis int) []byte {
 func validFinal() []byte {
 	p := []byte{'F', 1}
 	p = binary.LittleEndian.AppendUint64(p, 42)         // exit code
-	p = append(p, 3, 0)                                 // fault, kind
+	p = append(p, 3)                                    // fault
 	p = binary.LittleEndian.AppendUint64(p, 0x10040)    // pc
 	p = binary.LittleEndian.AppendUint64(p, 1234)       // instret
 	p = binary.LittleEndian.AppendUint64(p, 99999)      // elapsed
@@ -377,10 +444,6 @@ func validFinal() []byte {
 	p = binary.LittleEndian.AppendUint64(p, 8)
 	p = binary.LittleEndian.AppendUint32(p, 3) // stdout
 	p = append(p, "ok\n"...)
-	p = binary.LittleEndian.AppendUint32(p, 1) // profile
-	p = binary.LittleEndian.AppendUint64(p, 0x10000)
-	p = binary.LittleEndian.AppendUint32(p, 0x12345678)
-	p = binary.LittleEndian.AppendUint64(p, 617)
 	return p
 }
 
@@ -404,8 +467,8 @@ func TestDecodeValidFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Halted || f.ExitCode != 42 || f.Instret != 1234 || len(f.Spaces) != 1 ||
-		string(f.Stdout) != "ok\n" || len(f.Profile) != 1 || f.Profile[0].Count != 617 {
+	if !f.Halted || f.ExitCode != 42 || f.Fault != 3 || f.PC != 0x10040 || f.Instret != 1234 ||
+		f.ResultWord != 0xabad1dea || len(f.Spaces) != 1 || f.Spaces[0][1] != 8 || string(f.Stdout) != "ok\n" {
 		t.Fatalf("final decoded wrong: %+v", f)
 	}
 }

@@ -27,7 +27,8 @@ import (
 // abiVersion names the runner protocol + harness contract. It participates
 // in the cache key so a protocol change can never reuse a stale binary.
 // v2: superblock drivers, batched record frames, plugin exports.
-const abiVersion = "aot-v2"
+// v3: the final frame drops the fault kind and the execution profile.
+const abiVersion = "aot-v3"
 
 // ErrNoToolchain reports that the go toolchain needed to build runner
 // binaries is not on PATH. Callers (tests, sweeps) skip AOT cells with this

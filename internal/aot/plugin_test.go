@@ -25,7 +25,7 @@ func requirePlugin(t *testing.T, build func() (*BuildResult, error)) *BuildResul
 
 // TestPluginTransportParity runs one kernel through the subprocess runner
 // and the in-process plugin and requires identical observable results:
-// final state, record stream, and reconstructed work.
+// final state and record stream.
 func TestPluginTransportParity(t *testing.T) {
 	for _, buildset := range []string{"block_min", "step_all"} {
 		t.Run(buildset, func(t *testing.T) {
@@ -88,24 +88,13 @@ func TestPluginTransportParity(t *testing.T) {
 					t.Fatalf("record %d diverges:\nplugin:     %+v\nsubprocess: %+v", ri, pr.Records[ri], sr.Records[ri])
 				}
 			}
-			pw, err := ComputeWork(sim, pr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sw, err := ComputeWork(sim, sr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pw != sw {
-				t.Fatalf("work diverges: plugin %d, subprocess %d", pw, sw)
-			}
 		})
 	}
 }
 
 // TestPluginSessionReuse checks the hard-reset contract: successive
 // sessions on one loaded plugin (which shares package-global machine state)
-// reproduce identical results from Init onward.
+// reproduce identical records and final state from Init onward.
 func TestPluginSessionReuse(t *testing.T) {
 	i, sim := loadSim(t, "ppc32", "one_decode")
 	requireToolchain(t)
@@ -130,7 +119,7 @@ func TestPluginSessionReuse(t *testing.T) {
 			s.Close()
 			t.Fatal(err)
 		}
-		res, err := s.Run(1<<22, false, resultAddr)
+		res, err := s.Run(1<<22, true, resultAddr)
 		s.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -138,11 +127,9 @@ func TestPluginSessionReuse(t *testing.T) {
 		if !res.Halted {
 			t.Fatalf("session %d did not halt (fault %d at pc %#x)", session, res.Fault, res.PC)
 		}
-		if prev != nil {
-			if res.Instret != prev.Instret || res.ResultWord != prev.ResultWord ||
-				!reflect.DeepEqual(res.Profile, prev.Profile) {
-				t.Fatalf("session %d diverged from session %d", session, session-1)
-			}
+		res.ElapsedNs = 0 // wall clock
+		if prev != nil && !reflect.DeepEqual(res, prev) {
+			t.Fatalf("session %d diverged from session %d", session, session-1)
 		}
 		prev = res
 	}

@@ -49,26 +49,17 @@ type Hello struct {
 	EmitRecs bool
 }
 
-// ProfEntry is one (pc, bits) execution count from the runner's profile.
-type ProfEntry struct {
-	PC    uint64
-	Bits  uint32
-	Count uint64
-}
-
 // FinalState is the runner's end-of-run report.
 type FinalState struct {
 	Halted     bool
 	ExitCode   int64
 	Fault      mach.Fault
-	FaultKind  uint8 // 0 decoded final attempt, 1 fetch fault, 2 undecodable
 	PC         uint64
 	Instret    uint64
 	ElapsedNs  uint64
 	ResultWord uint32
 	Spaces     [][]uint64
 	Stdout     []byte
-	Profile    []ProfEntry
 }
 
 // RunResult is everything one 'R' command produced.
@@ -605,10 +596,6 @@ func decodeFinalFrame(p []byte) (*FinalState, error) {
 	f.Halted = d.u8() != 0
 	f.ExitCode = int64(d.u64())
 	f.Fault = mach.Fault(d.u8())
-	f.FaultKind = d.u8()
-	if f.FaultKind > 2 {
-		d.fail("unknown fault kind %d", f.FaultKind)
-	}
 	f.PC = d.u64()
 	f.Instret = d.u64()
 	f.ElapsedNs = d.u64()
@@ -633,14 +620,6 @@ func decodeFinalFrame(p []byte) (*FinalState, error) {
 		return nil, perr("final", "stdout claims %d bytes with %d left", outLen, d.rem())
 	}
 	f.Stdout = append([]byte(nil), d.bytes(int(outLen))...)
-	nProf := d.u32()
-	if int64(nProf)*20 > int64(d.rem()) {
-		return nil, perr("final", "profile claims %d entries with %d bytes left", nProf, d.rem())
-	}
-	for i := uint32(0); i < nProf && d.err == nil; i++ {
-		pe := ProfEntry{PC: d.u64(), Bits: d.u32(), Count: d.u64()}
-		f.Profile = append(f.Profile, pe)
-	}
 	if err := d.finish(); err != nil {
 		return nil, err
 	}

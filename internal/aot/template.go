@@ -14,10 +14,10 @@ package aot
 // the generated functions; fetch/decode/commit ordering, frame staleness
 // (One/Block never clear field storage between instructions; Step clears
 // everything at entrypoint 0 and hidden fields at later entrypoints), and
-// the no-retire-on-fault rule live here. Work units are not counted in the
-// runner: the host reconstructs them from the (pc, bits) execution profile
-// via the interpreter's own accounting (core workmodel accessors), keeping
-// one source of truth for the metric.
+// the no-retire-on-fault rule live here. A run reports what the host can
+// compare with the interpreter: the record stream and the final
+// architectural state. The runner keeps no undo journal (stores write
+// through), so a _spec buildset runs here without rollback support.
 const runnerHarness = `package main
 
 import (
@@ -27,7 +27,6 @@ import (
 	"io"
 	"math/bits"
 	"os"
-	"sort"
 	"time"
 )
 
@@ -191,11 +190,10 @@ func spWrite(sp, i int, v uint64) {
 // ---- machine state ----
 
 var (
-	pc        uint64
-	instret   uint64
-	halted    bool
-	exitCode  int64
-	faultKind uint8 // final-attempt kind: 0 decoded, 1 fetch fault, 2 undecodable
+	pc       uint64
+	instret  uint64
+	halted   bool
+	exitCode int64
 )
 
 // ---- OS emulation (mirrors internal/sysemu) ----
@@ -416,15 +414,6 @@ func bi_ctz32(a uint64) uint64     { return uint64(bits.TrailingZeros32(uint32(a
 func bi_ctz64(a uint64) uint64     { return uint64(bits.TrailingZeros64(a)) }
 func bi_popcnt(a uint64) uint64    { return uint64(bits.OnesCount64(a)) }
 
-// ---- execution profile ----
-
-type profKey struct {
-	pc   uint64
-	bits uint32
-}
-
-var profile = map[profKey]uint64{}
-
 // ---- superblocks ----
 //
 // The One/Block driver executes chained superblocks: straight-line runs of
@@ -433,9 +422,7 @@ var profile = map[profKey]uint64{}
 // slot with no per-instruction fetch/decode. Each block records its observed
 // successor so the common path jumps block to block directly; the links and
 // the cached decodes are severed by code-store epoch bumps, mirroring the
-// interpreter's chain links. Full non-recording passes retire as one count
-// on the block, folded into the per-(pc,bits) profile at run end, so work
-// accounting stays byte-identical to the interpreter's.
+// interpreter's chain links.
 
 type sbSlot struct {
 	pc   uint64
@@ -448,7 +435,6 @@ type sbSlot struct {
 type sblock struct {
 	startPC uint64
 	epoch   uint64
-	count   uint64
 	slots   []sbSlot
 	next    *sblock
 }
@@ -499,8 +485,7 @@ func buildSB(startPC uint64) *sblock {
 }
 
 // lookupSB returns a current-epoch block for pcv. A stale block is
-// revalidated by re-reading its slots' bits; on any mismatch its pending
-// count is folded (those executions ran the old bits) and it is rebuilt.
+// revalidated by re-reading its slots' bits; on any mismatch it is rebuilt.
 func lookupSB(pcv uint64) *sblock {
 	sb := sblocks[pcv]
 	if sb == nil {
@@ -511,7 +496,6 @@ func lookupSB(pcv uint64) *sblock {
 			sl := &sb.slots[si]
 			v, f := memLoad(sl.pc, int(gInstrSize))
 			if f != 0 || uint32(v) != sl.bits {
-				foldSB(sb)
 				delete(sblocks, pcv)
 				return buildSB(pcv)
 			}
@@ -519,23 +503,6 @@ func lookupSB(pcv uint64) *sblock {
 		sb.epoch = codeEpoch
 	}
 	return sb
-}
-
-func foldSB(sb *sblock) {
-	if sb.count == 0 {
-		return
-	}
-	for si := range sb.slots {
-		sl := &sb.slots[si]
-		profile[profKey{sl.pc, sl.bits}] += sb.count
-	}
-	sb.count = 0
-}
-
-func foldAllSB() {
-	for _, sb := range sblocks {
-		foldSB(sb)
-	}
 }
 
 // runSuper is the One/Block driver loop. Observable semantics match the
@@ -565,7 +532,6 @@ func runSuper(maxInstr uint64) {
 			continue
 		}
 		full := true
-		executed := 0
 		for si := range sb.slots {
 			if instret >= maxInstr {
 				full = false
@@ -579,9 +545,7 @@ func runSuper(maxInstr uint64) {
 			diID = sl.id
 			diFault = 0
 			diNullify = false
-			faultKind = 0
 			sl.fn()
-			executed++
 			if emitting {
 				emitRec()
 			}
@@ -598,25 +562,18 @@ func runSuper(maxInstr uint64) {
 				break
 			}
 		}
-		if full && executed == len(sb.slots) {
-			sb.count++
+		if full {
 			if sb.next != nil && sb.next.startPC == pc && sb.next.epoch == codeEpoch {
 				pred = sb.next
 			} else if nb := lookupSB(pc); nb != nil {
 				sb.next = nb
 				pred = nb
 			}
-		} else {
-			for si := 0; si < executed; si++ {
-				sl := &sb.slots[si]
-				profile[profKey{sl.pc, sl.bits}]++
-			}
 		}
 		if diFault != 0 {
 			break
 		}
 	}
-	foldAllSB()
 }
 
 // ---- interface drivers ----
@@ -641,19 +598,14 @@ func attemptOne() {
 	diID = gUndecodedID
 	diFault = 0
 	diNullify = false
-	faultKind = 0
 	fetch()
 	if diFault == 0 {
 		if id := gDecode(diBits); id >= 0 {
 			diID = uint16(id)
-			profile[profKey{pc, diBits}]++
 			gInstrFns[id][0]()
 			return
 		}
 		diFault = 2 // illegal
-		faultKind = 2
-	} else {
-		faultKind = 1
 	}
 	gFaultFns[0]()
 }
@@ -670,23 +622,18 @@ func attemptStep() {
 	diFault = 0
 	diNullify = false
 	gClearFields()
-	faultKind = 0
 	for e := 0; e < gNumEps; e++ {
 		if e > 0 {
 			gClearHidden()
 		}
 		if e == gFetchEp && diFault == 0 {
 			fetch()
-			if diFault != 0 {
-				faultKind = 1
-			}
 		}
 		if e == gDecodeEp && diFault == 0 && diID == gUndecodedID {
 			if id := gDecode(diBits); id >= 0 {
 				diID = uint16(id)
 			} else {
 				diFault = 2
-				faultKind = 2
 			}
 		}
 		if diID != gUndecodedID {
@@ -695,9 +642,6 @@ func attemptStep() {
 			gFaultFns[e]()
 		}
 		emitRec()
-	}
-	if faultKind == 0 {
-		profile[profKey{pc, diBits}]++
 	}
 }
 
@@ -906,7 +850,6 @@ func hardReset() {
 	instret = 0
 	halted = false
 	exitCode = 0
-	faultKind = 0
 	diPC, diPhysPC, diNextPC = 0, 0, 0
 	diBits = 0
 	diID = gUndecodedID
@@ -917,7 +860,6 @@ func hardReset() {
 	ticks = 0
 	stdinBuf = nil
 	stdout = nil
-	profile = map[profKey]uint64{}
 	recBuf = recBuf[:5]
 	recCount = 0
 	progSegs = nil
@@ -928,7 +870,7 @@ func hardReset() {
 // clear halt state and counters, reinstall the stack pointer, and reload
 // the data segments. Memory pages, brk, ticks, and remaining stdin persist,
 // as they do across runs of one interpreter cell. Cached superblocks also
-// persist (their pending counts are cleared with the profile).
+// persist.
 func reset() {
 	for _, r := range regs {
 		for i := range r {
@@ -939,12 +881,6 @@ func reset() {
 	exitCode = 0
 	instret = 0
 	stdout = stdout[:0]
-	for k := range profile {
-		delete(profile, k)
-	}
-	for _, sb := range sblocks {
-		sb.count = 0
-	}
 	spWrite(0, gConvStack, gStackTop)
 	for _, sg := range progSegs {
 		if sg.name != ".text" {
@@ -979,7 +915,7 @@ func sendFinal(resultAddr, elapsedNs uint64) {
 	}
 	p := []byte{'F', b2u8(halted)}
 	p = append8(p, uint64(exitCode))
-	p = append(p, diFault, faultKind)
+	p = append(p, diFault)
 	p = append8(p, pc)
 	p = append8(p, instret)
 	p = append8(p, elapsedNs)
@@ -993,22 +929,6 @@ func sendFinal(resultAddr, elapsedNs uint64) {
 	}
 	p = append4(p, uint32(len(stdout)))
 	p = append(p, stdout...)
-	keys := make([]profKey, 0, len(profile))
-	for k := range profile {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].pc != keys[b].pc {
-			return keys[a].pc < keys[b].pc
-		}
-		return keys[a].bits < keys[b].bits
-	})
-	p = append4(p, uint32(len(keys)))
-	for _, k := range keys {
-		p = append8(p, k.pc)
-		p = append4(p, k.bits)
-		p = append8(p, profile[k])
-	}
 	writeFrame(p)
 }
 

@@ -1,10 +1,9 @@
 // Package expt is the experiment harness that regenerates the paper's
 // evaluation artifacts: Table I (description characteristics), Table II
 // (simulation speed per interface), Table III (costs of detail), and the
-// footnote-5 interpreted-vs-translated ablation. It is shared by the
-// ssbench tool and the repository's top-level benchmarks. Every cell is
-// measured on the closure interpreter; the AOT runner backend is timed end
-// to end by the benchmark module in bench/.
+// footnote-5 interpreted-vs-translated ablation, as the ssbench tool
+// prints them. Every cell is measured on the closure interpreter; the AOT
+// runner backend is timed end to end by the benchmark module in bench/.
 package expt
 
 import (
@@ -117,12 +116,6 @@ func (r *Runner) reset() {
 	r.emu.Stdout.Reset()
 	r.emu.Install(r.m)
 	r.prog.ReloadData(r.m)
-}
-
-// Run executes the program once, returning retired instructions and the
-// work units accumulated by this run. It is RunLimited without bounds.
-func (r *Runner) Run() (instrs, work uint64, err error) {
-	return r.RunLimited(Limits{})
 }
 
 // Cell is one measured (ISA, interface) speed.

@@ -92,7 +92,8 @@ type Limits struct {
 // within a fraction of a second.
 const runChunk = 1 << 20
 
-// RunLimited executes the program once, like Run, but checks lim between
+// RunLimited executes the program once, resetting the machine after a
+// previous run and keeping translations warm, and checks lim between
 // execution chunks: a deadline violation or an interrupt surfaces as an
 // error instead of a hang. A machine that stops retiring instructions
 // without halting (a fault loop) is also reported rather than spun on.
