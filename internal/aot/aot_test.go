@@ -4,12 +4,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"singlespec/internal/asm"
 	"singlespec/internal/core"
@@ -109,7 +112,7 @@ func diffFresh(t *testing.T, sim *core.Sim, i *isa.ISA, prog *asm.Program, binPa
 	if tamper != nil {
 		c = tamperClient{r, tamper}
 	}
-	d, err := DiffProgram(sim, i, prog, c, DiffConfig{})
+	d, err := DiffProgram(sim, i, prog, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +210,8 @@ func TestDiffProgramReportsTampering(t *testing.T) {
 // publishes the same record stream. The first run's stream differs: field
 // storage persists across runs, so a field an instruction does not write
 // reads zero in the first run and the previous run's last value after it.
+// A run's records are valid only until the next Run, so each run's stream
+// is copied before the next one starts.
 func TestRunnerDeterministicAcrossRuns(t *testing.T) {
 	i, sim := loadSim(t, "alpha64", "one_decode")
 	b := buildRunner(t, i, sim, nil)
@@ -220,7 +225,8 @@ func TestRunnerDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultAddr := prog.Symbols["result"]
-	var runs []*RunResult
+	var final0 FinalState
+	var streams [][]core.Record
 	for run := 0; run < 3; run++ {
 		res, err := r.Run(1<<22, true, resultAddr)
 		if err != nil {
@@ -230,14 +236,86 @@ func TestRunnerDeterministicAcrossRuns(t *testing.T) {
 			t.Fatalf("run %d did not halt (fault %d at pc %#x)", run, res.Fault, res.PC)
 		}
 		res.ElapsedNs = 0 // wall clock
-		if run > 0 && !reflect.DeepEqual(res.FinalState, runs[0].FinalState) {
-			t.Fatalf("run %d final state %+v, run 0 %+v", run, res.FinalState, runs[0].FinalState)
+		if run == 0 {
+			final0 = res.FinalState
+		} else if !reflect.DeepEqual(res.FinalState, final0) {
+			t.Fatalf("run %d final state %+v, run 0 %+v", run, res.FinalState, final0)
 		}
-		runs = append(runs, res)
+		streams = append(streams, copyRecords(res.Records))
 	}
-	if !reflect.DeepEqual(runs[2].Records, runs[1].Records) {
+	if !reflect.DeepEqual(streams[2], streams[1]) {
 		t.Fatalf("runs 1 and 2 published different record streams (%d and %d records)",
-			len(runs[1].Records), len(runs[2].Records))
+			len(streams[1]), len(streams[2]))
+	}
+}
+
+// copyRecords deep-copies records out of a client's reused storage.
+func copyRecords(recs []core.Record) []core.Record {
+	out := make([]core.Record, len(recs))
+	for k, rec := range recs {
+		rec.Vals = slices.Clone(rec.Vals)
+		out[k] = rec
+	}
+	return out
+}
+
+// TestRunRecordsSteadyStateAllocs: once a runner has delivered one recorded
+// run, further recorded runs of the same program allocate a small fixed
+// number of times, whatever the run's length, on the one-record-per-
+// instruction path (one_all) and the seven-records-per-instruction Step
+// path (step_all_spec). The runners run under a hard deadline, as bench's
+// do, and Close drops their record storage.
+func TestRunRecordsSteadyStateAllocs(t *testing.T) {
+	// What a steady-state Run allocates: the run payload and its frame
+	// write, the watchdog timer, the RunResult and the final state, with
+	// one slice per register space, and stdout; 9 allocations on alpha64
+	// today. One allocation per record frame would add 10 on the smaller
+	// kernel.
+	const maxAllocs = 12
+	for _, buildset := range []string{"one_all", "step_all_spec"} {
+		t.Run(buildset, func(t *testing.T) {
+			i, sim := loadSim(t, "alpha64", buildset)
+			b := buildRunner(t, i, sim, nil)
+			var nRecs []int
+			for _, n := range []int{64, 512} {
+				prog := kernelProgram(t, i, "crc32", n)
+				r, err := SpawnWithDeadline(b.BinPath, nil, time.Minute)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				if err := r.Init(prog, nil); err != nil {
+					t.Fatal(err)
+				}
+				var res *RunResult
+				run := func() {
+					if res, err = r.Run(1<<24, true, prog.Symbols["result"]); err != nil {
+						t.Fatal(err)
+					}
+					if !res.Halted {
+						t.Fatalf("crc32(%d) did not halt (fault %d at pc %#x)", n, res.Fault, res.PC)
+					}
+				}
+				run()
+				allocs := testing.AllocsPerRun(5, run)
+				nRecs = append(nRecs, len(res.Records))
+				if allocs > maxAllocs {
+					t.Errorf("crc32(%d): a recorded run of %d records allocated %v times, want at most %d",
+						n, len(res.Records), allocs, maxAllocs)
+				}
+				// A stopped watchdog timer can keep a closed Runner
+				// reachable, so Close must not leave the storage to it.
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if r.store.recs != nil || r.store.slabs != nil || r.frame != nil {
+					t.Error("Close kept the runner's record storage")
+				}
+			}
+			if nRecs[1] < 4*nRecs[0] {
+				t.Fatalf("record counts %v differ by less than 4x", nRecs)
+			}
+		})
 	}
 }
 
@@ -456,7 +534,7 @@ func TestDecodeValidFrames(t *testing.T) {
 	if h.Spec != "alpha64" || h.Buildset != "one_all" || len(h.VisNames) != 2 || !h.EmitRecs {
 		t.Fatalf("hello decoded wrong: %+v", h)
 	}
-	recs, err := decodeRecordsFrame(validRecords(2), 2, nil)
+	recs, _, err := decodeRecordsFrame(validRecords(2), 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +556,7 @@ func TestDecodeValidFrames(t *testing.T) {
 // then the final frame yield every record and the final state, and any
 // other sequence is a typed *ProtocolError.
 func TestRunFrames(t *testing.T) {
-	res, err := runReply([][]byte{validRecords(2), validRecords(2), validFinal()}, 2)
+	res, err := runReply([][]byte{validRecords(2), validRecords(2), validFinal()}, 2, &recordStore{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +573,7 @@ func TestRunFrames(t *testing.T) {
 		"unknown frame type": {{'X', 0}, validFinal()},
 		"frame after final":  {validRecords(2), validFinal(), validFinal()},
 	} {
-		if _, err := runReply(frames, 2); err == nil {
+		if _, err := runReply(frames, 2, &recordStore{}); err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if pe := (*ProtocolError)(nil); !errors.As(err, &pe) {
 			t.Errorf("%s: untyped error %T: %v", name, err, err)
@@ -519,7 +597,7 @@ func FuzzRunnerProtocol(f *testing.F) {
 		if _, err := decodeHelloFrame(data); err != nil {
 			requireProtocolError(t, err)
 		}
-		if _, err := decodeRecordsFrame(data, nVis%8, nil); err != nil {
+		if _, _, err := decodeRecordsFrame(data, nVis%8, nil, nil); err != nil {
 			requireProtocolError(t, err)
 		}
 		if _, err := decodeFinalFrame(data); err != nil {
@@ -536,13 +614,108 @@ func requireProtocolError(t *testing.T, err error) {
 	}
 }
 
+// recordsFrame builds a well-formed batched 'R' frame of nRecs records with
+// nVis values each, whose every header field and value depends on the
+// record's index and on salt.
+func recordsFrame(nRecs, nVis int, salt uint8) []byte {
+	frame := []byte{'R'}
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(nRecs))
+	for i := 0; i < nRecs; i++ {
+		var hdr [32]byte
+		binary.LittleEndian.PutUint64(hdr[0:], uint64(i)*4+uint64(salt))
+		binary.LittleEndian.PutUint64(hdr[8:], uint64(i)*4)
+		binary.LittleEndian.PutUint64(hdr[16:], uint64(i)*4+4)
+		binary.LittleEndian.PutUint32(hdr[24:], uint32(i)^uint32(salt)<<8)
+		binary.LittleEndian.PutUint16(hdr[28:], uint16(i))
+		hdr[30] = salt % 4
+		hdr[31] = byte(i+int(salt)) & 1
+		frame = append(frame, hdr[:]...)
+		for v := 0; v < nVis; v++ {
+			frame = binary.LittleEndian.AppendUint64(frame, recordVal(i, v, salt))
+		}
+	}
+	return frame
+}
+
+// recordVal is the value recordsFrame gives record i's value v.
+func recordVal(i, v int, salt uint8) uint64 {
+	return uint64(salt)<<32 + uint64(i)*8 + uint64(v)
+}
+
+// requireSameRecords fails unless got and want hold equal records.
+func requireSameRecords(t *testing.T, got, want []core.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for k := range want {
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Fatalf("record %d: %+v, want %+v", k, got[k], want[k])
+		}
+	}
+}
+
+// TestDecodeRecordsReusesStorage: a second run's decode of the same frame
+// into one store allocates nothing and yields the records a fresh decode
+// does.
+func TestDecodeRecordsReusesStorage(t *testing.T) {
+	const nVis = 3
+	frame := recordsFrame(1000, nVis, 7)
+	fresh, _, err := decodeRecordsFrame(frame, nVis, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st recordStore
+	run := func() {
+		st.reset()
+		if err := st.decode(frame, nVis); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("decoding into warm storage allocated %v times per run, want 0", allocs)
+	}
+	requireSameRecords(t, st.recs, fresh)
+}
+
+// BenchmarkDecodeRecordsFrame decodes one runner-sized (~64 KiB) 'R' frame
+// of alpha64 one_all records into warm storage, as a client does from its
+// second run on.
+func BenchmarkDecodeRecordsFrame(b *testing.B) {
+	i, err := isa.Load("alpha64")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := core.Synthesize(i.Spec, "one_all", core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nVis := sim.Layout.NumSlots()
+	frame := recordsFrame((1<<16)/(32+8*nVis)+1, nVis, 1)
+	var st recordStore
+	st.reset()
+	if err := st.decode(frame, nVis); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		st.reset()
+		if err := st.decode(frame, nVis); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // FuzzBatchedRecordFrames targets the batched 'R' frame path specifically:
 // the runner coalesces up to pipe-buffer-sized runs of records into one
 // frame with a single count prefix, so the decoder must round-trip
-// arbitrary batch shapes exactly, honor append semantics into a caller
-// slice with independent per-record value storage, and reject truncations
-// and count lies with a typed *ProtocolError — never a panic or a
-// count-driven over-allocation.
+// arbitrary batch shapes exactly, also into storage a larger earlier run
+// left behind, with full-capacity per-record value slices, and reject
+// truncations and count lies with a typed *ProtocolError — never a panic or
+// a count-driven over-allocation.
 func FuzzBatchedRecordFrames(f *testing.F) {
 	f.Add(uint16(0), uint8(0), uint8(0))
 	f.Add(uint16(1), uint8(3), uint8(1))
@@ -551,22 +724,9 @@ func FuzzBatchedRecordFrames(f *testing.F) {
 	f.Add(uint16(9), uint8(7), uint8(255))
 	f.Fuzz(func(t *testing.T, nRecs uint16, visRaw, salt uint8) {
 		nVis := int(visRaw % 8)
-		frame := []byte{'R'}
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(nRecs))
-		for i := 0; i < int(nRecs); i++ {
-			var hdr [32]byte
-			binary.LittleEndian.PutUint64(hdr[0:], uint64(i)*4+uint64(salt))
-			binary.LittleEndian.PutUint64(hdr[8:], uint64(i)*4)
-			binary.LittleEndian.PutUint64(hdr[16:], uint64(i)*4+4)
-			binary.LittleEndian.PutUint32(hdr[24:], uint32(i)^uint32(salt)<<8)
-			binary.LittleEndian.PutUint16(hdr[28:], uint16(i))
-			frame = append(frame, hdr[:]...)
-			for v := 0; v < nVis; v++ {
-				frame = binary.LittleEndian.AppendUint64(frame, uint64(i)*8+uint64(v))
-			}
-		}
+		frame := recordsFrame(int(nRecs), nVis, salt)
 
-		recs, err := decodeRecordsFrame(frame, nVis, nil)
+		recs, _, err := decodeRecordsFrame(frame, nVis, nil, nil)
 		if err != nil {
 			t.Fatalf("well-formed batch rejected: %v", err)
 		}
@@ -578,54 +738,66 @@ func FuzzBatchedRecordFrames(f *testing.F) {
 				t.Fatalf("record %d decoded wrong: %+v", i, r)
 			}
 			for v := 0; v < nVis; v++ {
-				if r.Vals[v] != uint64(i)*8+uint64(v) {
+				if r.Vals[v] != recordVal(i, v, salt) {
 					t.Fatalf("record %d value %d decoded wrong: %d", i, v, r.Vals[v])
 				}
 			}
 		}
 
-		// Append semantics: decoding into an existing slice extends it, and
-		// the flat value storage must still hand out full-capacity subslices
-		// so growing one record's values cannot clobber its neighbor.
-		both, err := decodeRecordsFrame(frame, nVis, recs)
+		// Reused storage: a store whose last run decoded two larger frames
+		// decodes a run of this frame and a differently salted twin into the
+		// same records two fresh decodes give. The twin goes into the run's
+		// second slab, so it must not overwrite the first frame's values.
+		twin := recordsFrame(int(nRecs), nVis, salt+1)
+		twinRecs, _, err := decodeRecordsFrame(twin, nVis, nil, nil)
 		if err != nil {
-			t.Fatalf("append decode failed: %v", err)
+			t.Fatalf("well-formed batch rejected: %v", err)
 		}
-		if len(both) != 2*int(nRecs) {
-			t.Fatalf("append decode produced %d records, want %d", len(both), 2*int(nRecs))
+		var st recordStore
+		big := recordsFrame(int(nRecs)+3, nVis, salt+2)
+		for _, run := range [][][]byte{{big, big}, {frame, twin}} {
+			st.reset()
+			for _, p := range run {
+				if err := st.decode(p, nVis); err != nil {
+					t.Fatalf("decode into a store failed: %v", err)
+				}
+			}
+		}
+		requireSameRecords(t, st.recs, append(recs, twinRecs...))
+		for i, r := range st.recs {
+			if cap(r.Vals) != nVis {
+				t.Fatalf("record %d values have capacity %d, want %d", i, cap(r.Vals), nVis)
+			}
 		}
 		if nVis > 0 && nRecs >= 2 {
-			both[0].Vals = append(both[0].Vals, 0xdead)
-			if both[1].Vals[0] != 8 {
+			st.recs[0].Vals = append(st.recs[0].Vals, 0xdead)
+			if st.recs[1].Vals[0] != recordVal(1, 0, salt) {
 				t.Fatal("growing one record's values clobbered its neighbor")
 			}
 		}
 
-		// Every strict truncation must fail typed: the count prefix then
-		// disagrees with the payload length.
+		// Every strict truncation must fail typed, fresh or into warm
+		// storage: the count prefix then disagrees with the payload length.
+		bad := func(what string, p []byte) {
+			t.Helper()
+			for _, into := range []*recordStore{{}, &st} {
+				if err := into.decode(p, nVis); err == nil {
+					t.Fatalf("%s accepted", what)
+				} else {
+					requireProtocolError(t, err)
+				}
+			}
+		}
 		for _, cut := range []int{0, 1, 3, len(frame) / 2, len(frame) - 1} {
-			if cut >= len(frame) {
-				continue
+			if cut < len(frame) {
+				bad(fmt.Sprintf("truncation to %d of %d bytes", cut, len(frame)), frame[:cut])
 			}
-			_, err := decodeRecordsFrame(frame[:cut], nVis, nil)
-			if err == nil {
-				t.Fatalf("truncation to %d of %d bytes accepted", cut, len(frame))
-			}
-			requireProtocolError(t, err)
 		}
 		// So must trailing garbage and a count that lies upward.
-		if _, err := decodeRecordsFrame(append(frame[:len(frame):len(frame)], salt), nVis, nil); err == nil {
-			t.Fatal("trailing garbage accepted")
-		} else {
-			requireProtocolError(t, err)
-		}
+		bad("trailing garbage", append(frame[:len(frame):len(frame)], salt))
 		lying := append([]byte(nil), frame...)
 		binary.LittleEndian.PutUint32(lying[1:], uint32(nRecs)+1)
-		if _, err := decodeRecordsFrame(lying, nVis, nil); err == nil {
-			t.Fatal("count lying past the payload accepted")
-		} else {
-			requireProtocolError(t, err)
-		}
+		bad("count lying past the payload", lying)
 	})
 }
 

@@ -12,17 +12,10 @@ import (
 	"singlespec/internal/sysemu"
 )
 
-// DiffConfig parameterizes one differential run.
-type DiffConfig struct {
-	// MaxInstr is the retired-instruction budget per side; exceeding it is
-	// an operational error (the comparison needs both sides to terminate),
-	// not a divergence. Zero means the default.
-	MaxInstr uint64
-	// Stdin is fed to both emulated OSes.
-	Stdin []byte
-}
-
-const defaultDiffBudget = 4 << 20
+// diffBudget is the retired-instruction budget per side; exceeding it is an
+// operational error (the comparison needs both sides to terminate), not a
+// divergence.
+const diffBudget = 4 << 20
 
 // DiffProgram runs prog to completion under both the closure interpreter
 // and the runner r and compares what both backends produce, at retire
@@ -32,6 +25,7 @@ const defaultDiffBudget = 4 << 20
 // space, emulated-OS output, the program's result word). On a buildset whose
 // runner publishes no records (block_min) the final state is the whole
 // evidence. Work units are an interpreter metric and are not compared.
+// Both sides run with empty stdin and a budget of diffBudget instructions.
 //
 // The interpreter side is a freshly loaded machine. r must be a fresh
 // session (a newly spawned runner or plugin session) so no state leaks
@@ -41,16 +35,10 @@ const defaultDiffBudget = 4 << 20
 // It returns (nil, nil) when the sides agree, a *faultinj.Divergence
 // pinpointing the first difference when they do not, and an error for
 // operational failures (protocol, budget exhaustion).
-func DiffProgram(sim *core.Sim, i *isa.ISA, prog *asm.Program, r Client, cfg DiffConfig) (*faultinj.Divergence, error) {
-	budget := cfg.MaxInstr
-	if budget == 0 {
-		budget = defaultDiffBudget
-	}
-
+func DiffProgram(sim *core.Sim, i *isa.ISA, prog *asm.Program, r Client) (*faultinj.Divergence, error) {
 	// Interpreter side: collect the reference stream.
 	m := i.Spec.NewMachine()
 	emu := sysemu.New(i.Conv)
-	emu.Stdin = append([]byte(nil), cfg.Stdin...)
 	emu.Install(m)
 	prog.LoadInto(m)
 	x := sim.NewExec(m)
@@ -64,7 +52,7 @@ func DiffProgram(sim *core.Sim, i *isa.ISA, prog *asm.Program, r Client, cfg Dif
 	switch {
 	case sim.BS.Mode == lis.ModeBlock:
 		var batch core.Batch
-		for !m.Halted && m.Instret < budget {
+		for !m.Halted && m.Instret < diffBudget {
 			ok := x.ExecBlock(&batch)
 			for idx := range batch.Recs {
 				copyRec(&batch.Recs[idx])
@@ -76,7 +64,7 @@ func DiffProgram(sim *core.Sim, i *isa.ISA, prog *asm.Program, r Client, cfg Dif
 		}
 	case len(sim.BS.Entrypoints) > 1:
 		var rec core.Record
-		for !m.Halted && m.Instret < budget {
+		for !m.Halted && m.Instret < diffBudget {
 			rec.PC = m.PC
 			for ep := range sim.BS.Entrypoints {
 				x.StepCall(ep, &rec)
@@ -89,7 +77,7 @@ func DiffProgram(sim *core.Sim, i *isa.ISA, prog *asm.Program, r Client, cfg Dif
 		}
 	default:
 		var rec core.Record
-		for !m.Halted && m.Instret < budget {
+		for !m.Halted && m.Instret < diffBudget {
 			ok := x.ExecOne(&rec)
 			copyRec(&rec)
 			if !ok {
@@ -99,23 +87,23 @@ func DiffProgram(sim *core.Sim, i *isa.ISA, prog *asm.Program, r Client, cfg Dif
 		}
 	}
 	if !m.Halted && refFault == mach.FaultNone {
-		return nil, fmt.Errorf("aot: interpreter exceeded %d-instruction budget at pc %#x", budget, m.PC)
+		return nil, fmt.Errorf("aot: interpreter exceeded %d-instruction budget at pc %#x", diffBudget, m.PC)
 	}
 
 	// Runner side: one init, one recorded run.
 	if err := checkHello(sim, r.Hello()); err != nil {
 		return nil, err
 	}
-	if err := r.Init(prog, cfg.Stdin); err != nil {
+	if err := r.Init(prog, nil); err != nil {
 		return nil, err
 	}
 	resultAddr := prog.Symbols["result"]
-	res, err := r.Run(budget, true, resultAddr)
+	res, err := r.Run(diffBudget, true, resultAddr)
 	if err != nil {
 		return nil, err
 	}
 	if !res.Halted && res.Fault == mach.FaultNone {
-		return nil, fmt.Errorf("aot: runner exceeded %d-instruction budget at pc %#x", budget, res.PC)
+		return nil, fmt.Errorf("aot: runner exceeded %d-instruction budget at pc %#x", diffBudget, res.PC)
 	}
 
 	// First divergence in the visibility stream, with full record context.

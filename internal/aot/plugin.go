@@ -131,6 +131,7 @@ func (h *PluginHandle) Session() *PluginSession {
 type PluginSession struct {
 	h      *PluginHandle
 	closed bool
+	store  recordStore
 }
 
 func (s *PluginSession) Hello() Hello { return s.h.hello }
@@ -153,7 +154,7 @@ func (s *PluginSession) Run(maxInstr uint64, wantRecs bool, resultAddr uint64) (
 	if errs != "" {
 		return nil, fmt.Errorf("aot: plugin run: %s", errs)
 	}
-	return runReply(frames, len(s.h.hello.VisNames))
+	return runReply(frames, len(s.h.hello.VisNames), &s.store)
 }
 
 func (s *PluginSession) Close() error {

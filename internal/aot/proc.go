@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os/exec"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -62,10 +63,39 @@ type FinalState struct {
 	Stdout     []byte
 }
 
-// RunResult is everything one 'R' command produced.
+// RunResult is everything one 'R' command produced. Records, and each
+// record's Vals, live in storage the client reuses: they stay valid until
+// the next Run on the same client, so a caller that keeps records across
+// runs copies them.
 type RunResult struct {
 	Records []core.Record
 	FinalState
+}
+
+// recordStore is the storage one client decodes its runs' records into,
+// kept from one run to the next, so a run allocates nothing for its records
+// once the client has delivered a run at least as large. It is not shared
+// between clients, and a client is used from one goroutine, so it needs no
+// lock.
+type recordStore struct {
+	recs  []core.Record
+	slabs [][]uint64 // slabs[i] holds the values of a run's i-th record frame
+	n     int        // record frames decoded so far in the current run
+}
+
+// reset starts a run, whose records overwrite the last run's.
+func (s *recordStore) reset() { s.recs, s.n = s.recs[:0], 0 }
+
+// decode appends the records of one 'R' frame, the n-th of the run, to
+// s.recs, with their values in slab n.
+func (s *recordStore) decode(p []byte, nVis int) error {
+	if s.n == len(s.slabs) {
+		s.slabs = append(s.slabs, nil)
+	}
+	var err error
+	s.recs, s.slabs[s.n], err = decodeRecordsFrame(p, nVis, s.recs, s.slabs[s.n])
+	s.n++
+	return err
 }
 
 // TimeoutError reports a runner process that stopped responding: no frame
@@ -90,6 +120,9 @@ const defaultKillGrace = 2 * time.Second
 // subprocess over the pipe protocol, or a *PluginSession executing in
 // process (see plugin.go). Both speak identical frame payloads, so every
 // consumer (bench cells, the differential harness) is transport-agnostic.
+//
+// Run's result is valid until the next Run on the same client: its Records
+// and their Vals are decoded into storage the client reuses.
 type Client interface {
 	Hello() Hello
 	Init(prog *asm.Program, stdin []byte) error
@@ -106,6 +139,8 @@ type Runner struct {
 	hello  Hello
 	reg    *obs.Registry
 	broken bool
+	frame  []byte // read buffer, reused for every frame
+	store  recordStore
 	// hardTimeout bounds every blocking protocol exchange (see
 	// SetHardDeadline); 0 means unbounded (the pre-watchdog behavior).
 	hardTimeout time.Duration
@@ -220,16 +255,24 @@ func (r *Runner) stderrSuffix() string {
 	return ""
 }
 
+// readFrame reads one frame into the runner's read buffer, which it grows
+// only for a longer frame; the frame is valid until the next readFrame.
 func (r *Runner) readFrame() ([]byte, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(r.stdout, lb[:]); err != nil {
+	// Peek, not ReadFull into a local array: the array would escape through
+	// io.Reader and cost an allocation per frame.
+	lb, err := r.stdout.Peek(4)
+	if err != nil {
 		return nil, perr("stream", "reading frame length: %v", noEOF(err))
 	}
-	n := binary.LittleEndian.Uint32(lb[:])
+	n := binary.LittleEndian.Uint32(lb)
+	_, _ = r.stdout.Discard(4)
 	if n == 0 || n > maxFrame {
 		return nil, perr("stream", "frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
+	if int(n) > cap(r.frame) {
+		r.frame = make([]byte, n)
+	}
+	buf := r.frame[:n]
 	if _, err := io.ReadFull(r.stdout, buf); err != nil {
 		return nil, perr("stream", "reading %d-byte frame: %v", n, noEOF(err))
 	}
@@ -297,6 +340,7 @@ func (r *Runner) Init(prog *asm.Program, stdin []byte) error {
 // the given retired-instruction budget, optionally streaming the per-record
 // visibility stream, and returns the runner's full report. resultAddr, when
 // nonzero, asks the runner to read back a 32-bit result word from memory.
+// The report's records are valid until the next Run (see RunResult).
 func (r *Runner) Run(maxInstr uint64, wantRecs bool, resultAddr uint64) (*RunResult, error) {
 	if r.broken {
 		return nil, fmt.Errorf("aot: runner already failed; spawn a fresh one")
@@ -313,7 +357,7 @@ func (r *Runner) Run(maxInstr uint64, wantRecs bool, resultAddr uint64) (*RunRes
 				return nil, fmt.Errorf("%w%s", err, r.stderrSuffix())
 			}
 			return frame, nil
-		}, len(r.hello.VisNames))
+		}, len(r.hello.VisNames), &r.store)
 		return err
 	})
 	if err != nil {
@@ -326,8 +370,10 @@ func (r *Runner) Run(maxInstr uint64, wantRecs bool, resultAddr uint64) (*RunRes
 // runFrames dispatches one run's reply, whose frames next yields in order:
 // record batches, then the final frame. Both transports feed it, so a reply
 // means the same whichever carried it; any other sequence is a
-// *ProtocolError.
-func runFrames(next func() ([]byte, error), nVis int) (*RunResult, error) {
+// *ProtocolError. Records are decoded into the client's store, from its
+// start, so the result's records are valid until the store's next run.
+func runFrames(next func() ([]byte, error), nVis int, store *recordStore) (*RunResult, error) {
+	store.reset()
 	res := &RunResult{}
 	for {
 		frame, err := next()
@@ -339,7 +385,7 @@ func runFrames(next func() ([]byte, error), nVis int) (*RunResult, error) {
 		}
 		switch frame[0] {
 		case 'R':
-			if res.Records, err = decodeRecordsFrame(frame, nVis, res.Records); err != nil {
+			if err := store.decode(frame, nVis); err != nil {
 				return nil, err
 			}
 		case 'F':
@@ -347,6 +393,7 @@ func runFrames(next func() ([]byte, error), nVis int) (*RunResult, error) {
 			if err != nil {
 				return nil, err
 			}
+			res.Records = store.recs
 			res.FinalState = *fin
 			return res, nil
 		default:
@@ -357,7 +404,7 @@ func runFrames(next func() ([]byte, error), nVis int) (*RunResult, error) {
 
 // runReply is runFrames over a whole reply held in memory, as the plugin
 // transport returns it: the reply must end exactly at its final frame.
-func runReply(frames [][]byte, nVis int) (*RunResult, error) {
+func runReply(frames [][]byte, nVis int, store *recordStore) (*RunResult, error) {
 	n := 0
 	res, err := runFrames(func() ([]byte, error) {
 		if n == len(frames) {
@@ -365,7 +412,7 @@ func runReply(frames [][]byte, nVis int) (*RunResult, error) {
 		}
 		n++
 		return frames[n-1], nil
-	}, nVis)
+	}, nVis, store)
 	if err == nil && n < len(frames) {
 		return nil, perr("stream", "%d frames after the final frame", len(frames)-n)
 	}
@@ -373,8 +420,11 @@ func runReply(frames [][]byte, nVis int) (*RunResult, error) {
 }
 
 // Close shuts the runner down: a quit frame, stdin close, and a bounded
-// wait before killing outright.
+// wait before killing outright. It drops the record storage and read
+// buffer at once: the watchdog's stopped timers can keep the Runner itself
+// reachable for a while after Close.
 func (r *Runner) Close() error {
+	r.store, r.frame = recordStore{}, nil
 	if r.cmd.Process == nil {
 		return nil
 	}
@@ -535,55 +585,57 @@ func decodeHelloFrame(p []byte) (*Hello, error) {
 }
 
 // decodeRecordsFrame parses one 'R' frame of visibility records, appending
-// to out. nVis is the per-record value count from the hello frame.
-func decodeRecordsFrame(p []byte, nVis int, out []core.Record) ([]core.Record, error) {
+// to out. nVis is the per-record value count from the hello frame. The
+// values go into slab, which is reallocated only when it holds fewer than
+// the frame needs and is returned for the next frame; each record gets a
+// full-capacity subslice of it, so appending to one record's values cannot
+// overwrite the next record's.
+func decodeRecordsFrame(p []byte, nVis int, out []core.Record, slab []uint64) ([]core.Record, []uint64, error) {
 	d := &wireDec{frame: "records", b: p}
 	if d.u8() != 'R' {
-		return out, perr("records", "bad frame type")
+		return out, slab, perr("records", "bad frame type")
 	}
-	nRecs := d.u32()
+	nRecs := int(d.u32())
 	if d.err != nil {
-		return out, d.err
+		return out, slab, d.err
 	}
 	if nVis < 0 || nVis > 1<<16 {
-		return out, perr("records", "implausible value count %d", nVis)
+		return out, slab, perr("records", "implausible value count %d", nVis)
 	}
 	recSize := 32 + 8*nVis
 	if int64(nRecs)*int64(recSize) != int64(d.rem()) {
-		return out, perr("records", "count %d disagrees with %d payload bytes (record size %d)",
+		return out, slab, perr("records", "count %d disagrees with %d payload bytes (record size %d)",
 			nRecs, d.rem(), recSize)
 	}
-	// One flat allocation of value storage per frame: with batched frames a
-	// single 'R' frame can carry thousands of records, and a per-record
-	// make() dominates the decode cost.
-	var flat []uint64
-	if nVis > 0 {
-		flat = make([]uint64, int(nRecs)*nVis)
+	// The check above makes the payload exactly nRecs records long, so the
+	// loop indexes it directly.
+	if cap(slab) < nRecs*nVis {
+		slab = make([]uint64, nRecs*nVis)
 	}
-	for i := uint32(0); i < nRecs; i++ {
-		hdr := d.bytes(32)
-		rec := core.Record{
-			PC:        binary.LittleEndian.Uint64(hdr[0:]),
-			PhysPC:    binary.LittleEndian.Uint64(hdr[8:]),
-			NextPC:    binary.LittleEndian.Uint64(hdr[16:]),
-			InstrBits: binary.LittleEndian.Uint32(hdr[24:]),
-			InstrID:   binary.LittleEndian.Uint16(hdr[28:]),
-			Fault:     mach.Fault(hdr[30]),
-			Nullified: hdr[31] != 0,
+	base := len(out)
+	out = slices.Grow(out, nRecs)[:base+nRecs]
+	b := p[d.off:]
+	for i := range out[base:] {
+		rec := &out[base+i]
+		*rec = core.Record{
+			PC:        binary.LittleEndian.Uint64(b[0:]),
+			PhysPC:    binary.LittleEndian.Uint64(b[8:]),
+			NextPC:    binary.LittleEndian.Uint64(b[16:]),
+			InstrBits: binary.LittleEndian.Uint32(b[24:]),
+			InstrID:   binary.LittleEndian.Uint16(b[28:]),
+			Fault:     mach.Fault(b[30]),
+			Nullified: b[31] != 0,
 		}
 		if nVis > 0 {
-			vals := flat[int(i)*nVis : (int(i)+1)*nVis : (int(i)+1)*nVis]
-			for j := 0; j < nVis; j++ {
-				vals[j] = d.u64()
+			vals := slab[i*nVis : (i+1)*nVis : (i+1)*nVis]
+			for j := range vals {
+				vals[j] = binary.LittleEndian.Uint64(b[32+8*j:])
 			}
 			rec.Vals = vals
 		}
-		out = append(out, rec)
+		b = b[recSize:]
 	}
-	if err := d.finish(); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, slab, nil
 }
 
 // decodeFinalFrame parses the 'F' end-of-run report.

@@ -73,7 +73,7 @@ func diffFresh(sim *core.Sim, i *isa.ISA, prog *asm.Program, binPath string) (*f
 		return nil, err
 	}
 	defer r.Close()
-	return aot.DiffProgram(sim, i, prog, r, aot.DiffConfig{})
+	return aot.DiffProgram(sim, i, prog, r)
 }
 
 // TestSeededAOTDifferential diffs all 12 seeds x 3 ISAs, one buildset per

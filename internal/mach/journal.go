@@ -78,20 +78,9 @@ func (j *Journal) Commit(mark Mark) {
 	j.entries = j.entries[:n]
 }
 
-// journalShrinkCap is the entry capacity above which Reset releases the
-// backing array instead of retaining it. One speculative burst can grow the
-// journal to millions of entries (~48 bytes each); without the shrink a
-// week-long resumable run would hold its peak-size buffer forever. Below
-// the threshold the array is kept, so steady-state runs still allocate
-// nothing per Reset.
-const journalShrinkCap = 1 << 15
-
-// Reset empties the journal, releasing an oversized backing array (see
-// journalShrinkCap) so long-lived machines do not retain peak-size buffers.
+// Reset empties the journal and keeps its backing array, so a machine that
+// is reset between speculative runs journals without allocating once it has
+// run the largest of them.
 func (j *Journal) Reset() {
-	if cap(j.entries) > journalShrinkCap {
-		j.entries = nil
-		return
-	}
 	j.entries = j.entries[:0]
 }
