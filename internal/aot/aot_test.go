@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -263,8 +264,9 @@ func copyRecords(recs []core.Record) []core.Record {
 // run, further recorded runs of the same program allocate a small fixed
 // number of times, whatever the run's length, on the one-record-per-
 // instruction path (one_all) and the seven-records-per-instruction Step
-// path (step_all_spec). The runners run under a hard deadline, as bench's
-// do, and Close drops their record storage.
+// path (step_all_spec). So does the first recorded run of a runner spawned
+// after that one closes, since Close hands the record storage on. The
+// runners run under a hard deadline, as bench's do.
 func TestRunRecordsSteadyStateAllocs(t *testing.T) {
 	// What a steady-state Run allocates: the run payload and its frame
 	// write, the watchdog timer, the RunResult and the final state, with
@@ -279,16 +281,10 @@ func TestRunRecordsSteadyStateAllocs(t *testing.T) {
 			var nRecs []int
 			for _, n := range []int{64, 512} {
 				prog := kernelProgram(t, i, "crc32", n)
-				r, err := SpawnWithDeadline(b.BinPath, nil, time.Minute)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer r.Close()
-				if err := r.Init(prog, nil); err != nil {
-					t.Fatal(err)
-				}
+				var r *Runner
 				var res *RunResult
 				run := func() {
+					var err error
 					if res, err = r.Run(1<<24, true, prog.Symbols["result"]); err != nil {
 						t.Fatal(err)
 					}
@@ -296,20 +292,33 @@ func TestRunRecordsSteadyStateAllocs(t *testing.T) {
 						t.Fatalf("crc32(%d) did not halt (fault %d at pc %#x)", n, res.Fault, res.PC)
 					}
 				}
-				run()
-				allocs := testing.AllocsPerRun(5, run)
-				nRecs = append(nRecs, len(res.Records))
-				if allocs > maxAllocs {
-					t.Errorf("crc32(%d): a recorded run of %d records allocated %v times, want at most %d",
-						n, len(res.Records), allocs, maxAllocs)
-				}
-				// A stopped watchdog timer can keep a closed Runner
-				// reachable, so Close must not leave the storage to it.
-				if err := r.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if r.store.recs != nil || r.store.slabs != nil || r.frame != nil {
-					t.Error("Close kept the runner's record storage")
+				for _, spawn := range []string{"first", "second"} {
+					var err error
+					if r, err = SpawnWithDeadline(b.BinPath, nil, time.Minute); err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					if err := r.Init(prog, nil); err != nil {
+						t.Fatal(err)
+					}
+					var allocs float64
+					if spawn == "first" {
+						run()
+						allocs = testing.AllocsPerRun(5, run)
+						nRecs = append(nRecs, len(res.Records))
+					} else {
+						allocs = float64(allocsOf(run))
+					}
+					if allocs > maxAllocs {
+						t.Errorf("crc32(%d), %s runner: a recorded run of %d records allocated %v times, want at most %d",
+							n, spawn, len(res.Records), allocs, maxAllocs)
+					}
+					if err := r.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if r.store.recs != nil || r.store.slabs != nil || r.frame != nil {
+						t.Error("Close kept the runner's record storage")
+					}
 				}
 			}
 			if nRecs[1] < 4*nRecs[0] {
@@ -317,6 +326,96 @@ func TestRunRecordsSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// allocsOf counts the heap allocations of one call of f, unlike
+// testing.AllocsPerRun, which calls f once before it counts.
+func allocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// standInPlugin is a plugin handle whose every run replies with *n records
+// of two values from recordsFrame, so its sessions need no runner.
+func standInPlugin(n *int, salt uint8) *PluginHandle {
+	return &PluginHandle{hello: Hello{VisNames: []string{"a", "b"}, NumEps: 1},
+		fns: pluginExports{run: func([]byte) ([][]byte, string) {
+			return [][]byte{recordsFrame(*n, 2, salt), validFinal()}, ""
+		}}}
+}
+
+// TestSpareStoreHandedOn: a closed client's record storage goes to the
+// next client to open, and of two closed clients' stores the larger one is
+// kept. The clients are sessions of a stand-in plugin.
+func TestSpareStoreHandedOn(t *testing.T) {
+	n := 0
+	h := standInPlugin(&n, 1)
+	takeStore() // start from an empty spare
+	runN := func(s *PluginSession, recs int) *RunResult {
+		t.Helper()
+		n = recs
+		res, err := s.Run(1, true, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Records) != recs {
+			t.Fatalf("%d records, want %d", len(res.Records), recs)
+		}
+		return res
+	}
+	s := h.Session()
+	first := &runN(s, 1000).Records[0]
+	s.Close()
+	s = h.Session()
+	if got := &runN(s, 10).Records[0]; got != first {
+		t.Error("the next session decoded into new storage, not the closed session's")
+	}
+	s.Close()
+	giveStore(recordStore{recs: make([]core.Record, 10)})
+	s = h.Session()
+	if got := &runN(s, 1000).Records[0]; got != first {
+		t.Error("the spare kept the smaller store")
+	}
+	s.Close()
+}
+
+// TestSpareStoreConcurrentClients: clients that open, run and close on
+// several goroutines at once never share a store, so each run's records
+// are its own.
+func TestSpareStoreConcurrentClients(t *testing.T) {
+	const clients, runs = 4, 50
+	var wg sync.WaitGroup
+	for c := range clients {
+		salt := uint8(c + 1)
+		n := 100 * (c + 1)
+		h := standInPlugin(&n, salt)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range runs {
+				s := h.Session()
+				res, err := s.Run(1, true, 0)
+				if err != nil {
+					t.Error(err)
+					s.Close()
+					return
+				}
+				for k, rec := range res.Records {
+					if rec.PC != uint64(k)*4+uint64(salt) || rec.Vals[1] != recordVal(k, 1, salt) {
+						t.Errorf("client %d: record %d reads %+v", c, k, rec)
+						s.Close()
+						return
+					}
+				}
+				s.Close()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestBuildCacheReuse: an identical second build must reuse the cached

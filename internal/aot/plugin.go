@@ -122,7 +122,7 @@ func LoadPlugin(soPath string) (*PluginHandle, error) {
 // plugin itself stays loaded (the platform offers no unload).
 func (h *PluginHandle) Session() *PluginSession {
 	h.mu.Lock()
-	return &PluginSession{h: h}
+	return &PluginSession{h: h, store: takeStore()}
 }
 
 // PluginSession is one exclusive Init/Run session against a loaded runner
@@ -157,9 +157,14 @@ func (s *PluginSession) Run(maxInstr uint64, wantRecs bool, resultAddr uint64) (
 	return runReply(frames, len(s.h.hello.VisNames), &s.store)
 }
 
+// Close releases the plugin for the next session and hands the record
+// storage to the next client, so the last Run's records are invalid after
+// it.
 func (s *PluginSession) Close() error {
 	if !s.closed {
 		s.closed = true
+		giveStore(s.store)
+		s.store = recordStore{}
 		s.h.mu.Unlock()
 	}
 	return nil

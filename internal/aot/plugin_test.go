@@ -120,6 +120,10 @@ func TestPluginSessionReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := s.Run(1<<22, true, resultAddr)
+		if err == nil {
+			// Close hands the record storage to the next session.
+			res.Records = copyRecords(res.Records)
+		}
 		s.Close()
 		if err != nil {
 			t.Fatal(err)

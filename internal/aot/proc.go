@@ -8,9 +8,11 @@ import (
 	"io"
 	"os/exec"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"singlespec/internal/asm"
 	"singlespec/internal/core"
@@ -64,9 +66,10 @@ type FinalState struct {
 }
 
 // RunResult is everything one 'R' command produced. Records, and each
-// record's Vals, live in storage the client reuses: they stay valid until
-// the next Run on the same client, so a caller that keeps records across
-// runs copies them.
+// record's Vals, live in storage the client reuses and hands to the next
+// client when it closes: they stay valid until the next Run on the same
+// client or that client's Close, so a caller that keeps records longer
+// copies them.
 type RunResult struct {
 	Records []core.Record
 	FinalState
@@ -74,13 +77,50 @@ type RunResult struct {
 
 // recordStore is the storage one client decodes its runs' records into,
 // kept from one run to the next, so a run allocates nothing for its records
-// once the client has delivered a run at least as large. It is not shared
-// between clients, and a client is used from one goroutine, so it needs no
-// lock.
+// once the client has delivered a run at least as large. A store belongs to
+// one client at a time, which is used from one goroutine, so it needs no
+// lock; a closing client hands it on through spare.
 type recordStore struct {
 	recs  []core.Record
 	slabs [][]uint64 // slabs[i] holds the values of a run's i-th record frame
 	n     int        // record frames decoded so far in the current run
+}
+
+// spare is the store of a closed client, which the next client to open
+// takes, so a session does not regrow its storage from empty. Of two stores
+// it keeps the larger, so a process holds at most one idle store: the
+// largest any of its clients has delivered.
+var spare struct {
+	mu    sync.Mutex
+	store recordStore
+}
+
+// takeStore hands the spare store to a client that is opening.
+func takeStore() recordStore {
+	spare.mu.Lock()
+	defer spare.mu.Unlock()
+	s := spare.store
+	spare.store = recordStore{}
+	return s
+}
+
+// giveStore takes back a closing client's store, unless the spare is
+// larger.
+func giveStore(s recordStore) {
+	spare.mu.Lock()
+	defer spare.mu.Unlock()
+	if s.bytes() > spare.store.bytes() {
+		spare.store = s
+	}
+}
+
+// bytes is the capacity the store holds.
+func (s *recordStore) bytes() int {
+	n := cap(s.recs) * int(unsafe.Sizeof(core.Record{}))
+	for _, sl := range s.slabs {
+		n += 8 * cap(sl)
+	}
+	return n
 }
 
 // reset starts a run, whose records overwrite the last run's.
@@ -121,8 +161,9 @@ const defaultKillGrace = 2 * time.Second
 // process (see plugin.go). Both speak identical frame payloads, so every
 // consumer (bench cells, the differential harness) is transport-agnostic.
 //
-// Run's result is valid until the next Run on the same client: its Records
-// and their Vals are decoded into storage the client reuses.
+// Run's result is valid until the next Run on the same client or that
+// client's Close: its Records and their Vals are decoded into storage the
+// client reuses, and which Close hands to the next client.
 type Client interface {
 	Hello() Hello
 	Init(prog *asm.Program, stdin []byte) error
@@ -147,8 +188,10 @@ type Runner struct {
 	killGrace   time.Duration
 	// timedOut is set by the watchdog before it kills the process, so the
 	// pipe error the blocked read/write then observes is reported as a
-	// *TimeoutError instead of a generic protocol error.
-	timedOut atomic.Bool
+	// *TimeoutError instead of a generic protocol error. It is allocated
+	// apart from the Runner so the watchdog's timers, which the runtime
+	// may hold for a while after they stop, do not keep the Runner alive.
+	timedOut *atomic.Bool
 }
 
 // Spawn starts the runner binary and consumes its hello frame.
@@ -169,7 +212,8 @@ func SpawnWithDeadline(binPath string, reg *obs.Registry, deadline time.Duration
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{cmd: cmd, stdin: stdin, stdout: bufio.NewReader(stdout), reg: reg}
+	r := &Runner{cmd: cmd, stdin: stdin, stdout: bufio.NewReader(stdout), reg: reg,
+		timedOut: new(atomic.Bool)}
 	r.SetHardDeadline(deadline)
 	cmd.Stderr = &r.stderr
 	if err := cmd.Start(); err != nil {
@@ -195,6 +239,7 @@ func SpawnWithDeadline(binPath string, reg *obs.Registry, deadline time.Duration
 		return nil, err
 	}
 	r.hello = *hello
+	r.store = takeStore()
 	return r, nil
 }
 
@@ -218,9 +263,11 @@ func (r *Runner) watch(op string, f func() error) error {
 	if grace <= 0 {
 		grace = defaultKillGrace
 	}
+	// The timers capture the process and the flag, never r.
+	p, timedOut := r.cmd.Process, r.timedOut
 	timer := time.AfterFunc(r.hardTimeout, func() {
-		r.timedOut.Store(true)
-		if p := r.cmd.Process; p != nil {
+		timedOut.Store(true)
+		if p != nil {
 			// Escalation: a polite SIGTERM first (lets a live-but-slow
 			// runner flush and exit), SIGKILL if it has not died by the
 			// end of the grace period. Killing closes the pipes, which
@@ -229,16 +276,12 @@ func (r *Runner) watch(op string, f func() error) error {
 				_ = p.Kill()
 				return
 			}
-			time.AfterFunc(grace, func() {
-				if p := r.cmd.Process; p != nil {
-					_ = p.Kill()
-				}
-			})
+			time.AfterFunc(grace, func() { _ = p.Kill() })
 		}
 	})
 	err := f()
 	timer.Stop()
-	if err != nil && r.timedOut.Load() {
+	if err != nil && timedOut.Load() {
 		r.broken = true
 		return &TimeoutError{Op: op, Timeout: r.hardTimeout}
 	}
@@ -420,10 +463,10 @@ func runReply(frames [][]byte, nVis int, store *recordStore) (*RunResult, error)
 }
 
 // Close shuts the runner down: a quit frame, stdin close, and a bounded
-// wait before killing outright. It drops the record storage and read
-// buffer at once: the watchdog's stopped timers can keep the Runner itself
-// reachable for a while after Close.
+// wait before killing outright. It hands the record storage to the next
+// client, so the last Run's records are invalid after it.
 func (r *Runner) Close() error {
+	giveStore(r.store)
 	r.store, r.frame = recordStore{}, nil
 	if r.cmd.Process == nil {
 		return nil

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"os/exec"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -54,7 +55,7 @@ func wedgedRunner(t *testing.T, script string, hard, grace time.Duration) *Runne
 		t.Fatal(err)
 	}
 	r := &Runner{cmd: cmd, stdin: stdin, stdout: bufio.NewReader(stdout),
-		hardTimeout: hard, killGrace: grace}
+		hardTimeout: hard, killGrace: grace, timedOut: new(atomic.Bool)}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

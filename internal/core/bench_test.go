@@ -150,6 +150,37 @@ func BenchmarkTransUnitSharedHit(b *testing.B) {
 	}
 }
 
+// BenchmarkFreshExec measures a new Exec and its first run of the toy loop
+// on a One and a Block buildset, with the Sim's shared cache warm. With
+// -benchmem, B/op is what one Exec costs in memory, first-level tables
+// included; building its machine, data page included, is outside the
+// timer.
+func BenchmarkFreshExec(b *testing.B) {
+	spec, err := lis.Parse("toy.lis", toySrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bs := range []string{"one_min", "block_min"} {
+		b.Run(bs, func(b *testing.B) {
+			s, err := Synthesize(spec, bs, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				m := benchMachine(spec, 100)
+				m.Mem.Store(dataBase, 0, 8)
+				b.StartTimer()
+				s.NewExec(m).Run(1 << 20)
+				if !m.Halted {
+					b.Fatal("the toy loop did not halt")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPublish measures one record publication at full informational
 // detail (the per-instruction store cost of the paper's §V-E analysis).
 func BenchmarkPublish(b *testing.B) {

@@ -194,7 +194,11 @@ func (x *Exec) transBlock(pc uint64) (*xblock, int32) {
 	// Mark the block's (single) page as code before capturing generation
 	// and epoch: every later store to it must advance both.
 	mem.MarkCode(pc)
-	*s = bslot{pc: pc, gen: mem.Gen(pc), epoch: mem.CodeGen(), b: blk}
+	i, grew := t.slot(pc)
+	if grew {
+		x.lastB = -1
+	}
+	t.slots[i] = bslot{pc: pc, gen: mem.Gen(pc), epoch: mem.CodeGen(), b: blk}
 	return blk, int32(i)
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"singlespec/internal/mach"
@@ -161,4 +163,90 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			t.Errorf("warm ExecOne allocates: %.2f allocs per 16 instrs", avg)
 		}
 	})
+}
+
+// manyBlocksProgram loops r9 times through n blocks of two instructions,
+// each adding r11 to r1 and branching to the next, then a loop tail of
+// three more blocks: n+3 blocks in all.
+func manyBlocksProgram(n int) []uint32 {
+	var p []uint32
+	for k := 0; k < n; k++ {
+		p = append(p, encALU(opADD, 1, 11, 1), encBR(opBEQ, 15, 0))
+	}
+	back := -int32(len(p) + 3) // from the back-branch at len(p)+2 to @0
+	return append(p,
+		encALU(opSUB, 9, 11, 9), // r9 -= 1
+		encBR(opBEQ, 9, 1),      // r9 == 0 -> halt
+		encBR(opBEQ, 15, back),  // always -> @0
+		encALU(opHLT, 15, 0, 0))
+}
+
+// TestChainSurvivesTableGrowth: a program with more blocks than a new
+// block table has slots makes the table double mid-run. Growth drops the
+// chain links, which name slot indices; the blocks must relink and be
+// followed afterwards, and the run must publish the records and reach the
+// state the One interface does on the same program.
+func TestChainSurvivesTableGrowth(t *testing.T) {
+	const nBlocks, iters = 40, 50
+	prog := manyBlocksProgram(nBlocks)
+	load := func(bs string) (*Exec, *mach.Machine) {
+		s := synth(t, bs, Options{})
+		m := loadProgram(s.Spec, prog)
+		r := m.MustSpace("r")
+		r.Vals[9], r.Vals[11] = iters, 1
+		return s.NewExec(m), m
+	}
+	keep := func(out []Record, rec *Record) []Record {
+		c := *rec
+		c.Vals = slices.Clone(rec.Vals)
+		return append(out, c)
+	}
+
+	x, m := load("block_all")
+	var blockRecs []Record
+	var batch Batch
+	grows, size, followsAtGrowth := 0, 0, uint64(0)
+	for !m.Halted {
+		ok := x.ExecBlock(&batch)
+		for k := range batch.Recs {
+			blockRecs = keep(blockRecs, &batch.Recs[k])
+		}
+		if n := len(x.btab.slots); n != size {
+			if size != 0 {
+				grows++
+			}
+			size, followsAtGrowth = n, x.Stats().BlockChainFollows
+		}
+		if !ok {
+			break
+		}
+	}
+	if grows == 0 {
+		t.Fatalf("the block table never grew past %d slots over %d blocks", size, nBlocks+3)
+	}
+	if f := x.Stats().BlockChainFollows; f <= followsAtGrowth {
+		t.Errorf("%d chain follows in all, %d before the last growth: none after it", f, followsAtGrowth)
+	}
+
+	x1, m1 := load("one_all")
+	var oneRecs []Record
+	var rec Record
+	for !m1.Halted {
+		ok := x1.ExecOne(&rec)
+		oneRecs = keep(oneRecs, &rec)
+		if !ok {
+			break
+		}
+	}
+	if !reflect.DeepEqual(blockRecs, oneRecs) {
+		t.Errorf("block_all published %d records, one_all %d, and they differ", len(blockRecs), len(oneRecs))
+	}
+	if m.PC != m1.PC || m.Instret != m1.Instret || m.ExitCode != m1.ExitCode ||
+		!reflect.DeepEqual(m.MustSpace("r").Vals, m1.MustSpace("r").Vals) {
+		t.Errorf("final state differs: block pc %#x instret %d exit %d, one pc %#x instret %d exit %d",
+			m.PC, m.Instret, m.ExitCode, m1.PC, m1.Instret, m1.ExitCode)
+	}
+	if got := m.MustSpace("r").Vals[1]; got != nBlocks*iters {
+		t.Errorf("r1 = %d, want %d", got, nBlocks*iters)
+	}
 }

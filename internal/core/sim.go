@@ -22,7 +22,10 @@ type Options struct {
 	ForceRecords bool
 	// MaxBlockLen bounds translated basic blocks (default 64 instructions).
 	MaxBlockLen int
-	// CacheCap bounds the translation caches (default 1<<16 entries).
+	// CacheCap bounds both levels of translation cache (default 1<<16
+	// entries): the shared cache, and each Exec's first-level tables,
+	// which start small and double with the code they cache up to
+	// CacheCap rounded up to a power of two.
 	CacheCap int
 }
 
@@ -482,15 +485,16 @@ type Exec struct {
 	// (see l1cache.go): entries pair a translated product with the page
 	// generation and code-store epoch of this machine's memory at
 	// validation time, so self-modifying code invalidates locally without
-	// touching the shared cache. Tables are allocated lazily on first use
-	// so a One-interface Exec never pays for a block table and vice versa.
+	// touching the shared cache. Tables are allocated small on first use,
+	// so a One-interface Exec never pays for a block table and vice versa,
+	// and grow with the program up to Options.CacheCap.
 	utab utab
 	btab btab
 
 	// lastB is the block-table slot of the most recently retired block, or
 	// -1 when the previous dispatch cannot anchor a chain link (cold start,
-	// fault, dynamic fallback, flush). ExecBlock uses it to follow and to
-	// install block->block chain links.
+	// fault, dynamic fallback, block-table growth). ExecBlock uses it to
+	// follow and to install block->block chain links.
 	lastB int32
 
 	// noTrans mirrors Options.NoTranslate (the interpreted-One ablation).
@@ -514,7 +518,7 @@ type ExecStats struct {
 	// Unit (per-instruction translation) cache events.
 	UnitL1Hits         uint64 // first-level hits (epoch or generation still valid)
 	UnitL1GenEvictions uint64 // entries dropped on a page-generation mismatch
-	UnitL1Conflicts    uint64 // entries evicted by a different PC mapping to the slot
+	UnitL1Conflicts    uint64 // misses on a slot holding another PC (the table grows, or at its limit evicts it)
 	UnitSharedHits     uint64 // second-level (shared, bits-validated) hits
 	UnitTranslations   uint64 // fresh translations published to the shared cache
 
@@ -857,7 +861,7 @@ func (x *Exec) transUnit(pc uint64) *unit {
 	// Mark pc's page as code BEFORE capturing the epoch, so every later
 	// store to it is guaranteed to advance the epoch this slot records.
 	mem.MarkCode(pc)
-	*s = uslot{pc: pc, gen: gen, epoch: mem.CodeGen(), u: u}
+	*t.slot(pc) = uslot{pc: pc, gen: gen, epoch: mem.CodeGen(), u: u}
 	return u
 }
 
