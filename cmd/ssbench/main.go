@@ -1,35 +1,28 @@
 // ssbench regenerates the paper's evaluation artifacts as markdown:
 // Table I (description characteristics), Table II (simulation speed per
 // interface), Table III (costs of detail), the headline speedup, and the
-// design ablations. Measurement cells fan out across a worker pool; output
-// is identical for any worker count (and byte-identical under -metric work,
-// which reports deterministic engine work units instead of wall-clock
-// MIPS). Cells are measured on the closure interpreter; the AOT runner
-// backend is timed end to end by the benchmark module (sh bench/run.sh)
-// and checked against the interpreter by the aot.DiffProgram suites.
+// design ablations. Measurement cells run one at a time, so a timed cell
+// never shares the host with another; under -metric work, which reports
+// deterministic engine work units instead of wall-clock MIPS, the output is
+// byte-identical from run to run. Cells are measured on the closure
+// interpreter; the AOT runner backend is timed end to end by the benchmark
+// module (sh bench/run.sh) and checked against the interpreter by the
+// aot.DiffProgram suites.
 //
 // Usage:
 //
 //	ssbench                  # everything, quick settings
 //	ssbench -table 2 -scale 4 -dur 500ms
-//	ssbench -table 2 -parallel 1 -metric work   # serial, deterministic
+//	ssbench -table 2 -metric work       # deterministic
 //	ssbench -faults 42       # deterministic fault-injection campaign
-//	ssbench -cell-timeout 30s -table 2          # watchdogged sweep
 //	ssbench -metric work -metrics-out metrics.json   # counters + manifest
-//
-// A sweep interrupted by SIGINT/SIGTERM winds down cleanly (cells stop at
-// the next watchdog check, and the tables and manifest are written with
-// those cells marked interrupted) and exits 130/143.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"runtime"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"singlespec/internal/expt"
@@ -37,46 +30,24 @@ import (
 	"singlespec/internal/obs"
 )
 
-// Exit codes for a signal-interrupted run, per shell convention (128+N).
-const (
-	exitSIGINT  = 130
-	exitSIGTERM = 143
-)
-
 func main() {
-	table := flag.Int("table", 0, "regenerate one table (1|2|3), 0 = all")
-	scale := flag.Int("scale", 2, "workload scale factor")
+	table := flag.Int("table", 0, "regenerate one table (1|2|3), 0 = all tables and the ablations")
+	scale := flag.Int("scale", 2, "workload scale factor (>= 1)")
 	dur := flag.Duration("dur", 200*time.Millisecond, "minimum measurement time per cell")
-	ablate := flag.Bool("ablations", true, "include design ablations")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "measurement worker count")
 	metricName := flag.String("metric", "mips", "table metric: mips (wall-clock) or work (deterministic work units)")
 	faultSeed := flag.Int64("faults", -1, "run a fault-injection campaign with this seed instead of the tables (>= 0 enables)")
-	faultEvents := flag.Int("fault-events", 4, "fault events attempted per campaign cell")
+	faultEvents := flag.Int("fault-events", 4, "fault events attempted per campaign cell (>= 1)")
 	faultClasses := flag.String("fault-classes", "all", "comma-separated fault classes (load,fetch,squash,syscall,codegen) or all")
-	cellTimeout := flag.Duration("cell-timeout", 0, "wall-clock watchdog per measurement cell (0 disables); hung cells are marked errored instead of stalling the sweep")
 	metricsOut := flag.String("metrics-out", "", "write a JSON run manifest + metrics snapshot to this file (see EXPERIMENTS.md)")
 	benchOut := flag.String("bench-out", "", "write the Table II speed grid as JSON (schema "+expt.BenchSchema+") to this file; see RESULTS.md")
 	flag.Parse()
 
-	// Signal handling: the first SIGINT/SIGTERM asks the sweep to wind down
-	// (running cells stop at the next cooperative watchdog check, then the
-	// manifest is flushed and the process exits 130/143); a second signal
-	// falls back to default disposition and kills immediately.
-	interrupt := make(chan struct{})
-	var sigExit atomic.Int32
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigCh
-		if s == syscall.SIGTERM {
-			sigExit.Store(exitSIGTERM)
-		} else {
-			sigExit.Store(exitSIGINT)
-		}
-		fmt.Fprintln(os.Stderr, "ssbench: signal received, winding down (signal again to kill)")
-		close(interrupt)
-		signal.Stop(sigCh)
-	}()
+	metric, metricErr := expt.ParseMetric(*metricName)
+	classes, classErr := faultinj.ParseClasses(*faultClasses)
+	if err := errors.Join(metricErr, classErr, checkFlags(*table, *scale, *faultSeed, *faultEvents, *benchOut)); err != nil {
+		fmt.Fprintln(os.Stderr, "ssbench:", err)
+		os.Exit(2)
+	}
 
 	var reg *obs.Registry
 	var man *obs.Manifest
@@ -86,12 +57,11 @@ func main() {
 		flag.VisitAll(func(f *flag.Flag) { man.Flags[f.Name] = f.Value.String() })
 	}
 	// writeManifest flushes the manifest before any exit path; the snapshot
-	// is taken here, after all instrumented work has quiesced.
+	// is taken here, after all instrumented work has finished.
 	writeManifest := func() {
 		if man == nil {
 			return
 		}
-		man.Interrupted = sigExit.Load() != 0
 		man.Metrics = reg.Snapshot()
 		if err := man.WriteFile(*metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "ssbench:", err)
@@ -101,19 +71,13 @@ func main() {
 
 	if *faultSeed >= 0 {
 		runFaultCampaign(faultCampaignOpts{
-			seed: uint64(*faultSeed), events: *faultEvents, classSpec: *faultClasses,
-			workers: *parallel, sigExit: &sigExit,
+			seed: uint64(*faultSeed), events: *faultEvents, classes: classes,
 			reg: reg, man: man, writeManifest: writeManifest,
 		})
 		return
 	}
 
-	metric, err := expt.ParseMetric(*metricName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := expt.Config{Scale: *scale, MinDur: *dur, Workers: *parallel, Metric: metric,
-		CellTimeout: *cellTimeout, Obs: reg, Interrupt: interrupt}
+	cfg := expt.Config{Scale: *scale, MinDur: *dur, Metric: metric, Obs: reg}
 
 	if *table == 0 || *table == 1 {
 		t1, err := expt.TableI()
@@ -154,7 +118,7 @@ func main() {
 			fmt.Println(expt.TableIII(cells))
 		}
 	}
-	if *ablate && *table == 0 {
+	if *table == 0 {
 		fmt.Println("## Ablations (footnote 5 and DESIGN.md §6)")
 		fmt.Println()
 		aCells, ta, err := expt.Ablations(cfg)
@@ -168,13 +132,27 @@ func main() {
 		reportCellErrors(aCells)
 	}
 	writeManifest()
-	if code := sigExit.Load(); code != 0 {
-		fmt.Fprintln(os.Stderr, "ssbench: interrupted; manifest flushed")
-		os.Exit(int(code))
-	}
 	if sawCellErrors {
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag values that would do nothing or be silently
+// replaced; ssbench reports them as usage errors before any work starts.
+func checkFlags(table, scale int, faultSeed int64, faultEvents int, benchOut string) error {
+	switch {
+	case table < 0 || table > 3:
+		return fmt.Errorf("-table %d: want 0 (all), 1, 2 or 3", table)
+	case scale < 1:
+		return fmt.Errorf("-scale %d: want at least 1", scale)
+	case faultEvents < 1:
+		return fmt.Errorf("-fault-events %d: want at least 1", faultEvents)
+	case benchOut != "" && faultSeed >= 0:
+		return errors.New("-bench-out writes the Table II grid, which a -faults campaign does not measure")
+	case benchOut != "" && table == 1:
+		return errors.New("-bench-out writes the Table II grid, which -table 1 does not measure")
+	}
+	return nil
 }
 
 // sawCellErrors records that a sweep rendered with error-marked cells, so
@@ -192,11 +170,9 @@ func reportCellErrors(cells []expt.Cell) {
 
 // faultCampaignOpts carries the campaign's flag surface.
 type faultCampaignOpts struct {
-	seed      uint64
-	events    int
-	classSpec string
-	workers   int
-	sigExit   *atomic.Int32
+	seed    uint64
+	events  int
+	classes []faultinj.Class
 
 	reg           *obs.Registry
 	man           *obs.Manifest
@@ -208,14 +184,7 @@ type faultCampaignOpts struct {
 // requested) is written before any exit, so failed campaigns still leave
 // their metrics behind.
 func runFaultCampaign(o faultCampaignOpts) {
-	classes, err := faultinj.ParseClasses(o.classSpec)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := faultinj.Config{
-		Seed: o.seed, Events: o.events, Workers: o.workers, Classes: classes, Obs: o.reg,
-	}
-
+	cfg := faultinj.Config{Seed: o.seed, Events: o.events, Classes: o.classes, Obs: o.reg}
 	rep, err := faultinj.Run(cfg)
 	if err != nil {
 		fatal(err)
@@ -227,10 +196,6 @@ func runFaultCampaign(o faultCampaignOpts) {
 		o.man.Cells = append(o.man.Cells, rep.Outcomes()...)
 	}
 	o.writeManifest()
-	if code := o.sigExit.Load(); code != 0 {
-		fmt.Fprintln(os.Stderr, "ssbench: interrupted; manifest flushed")
-		os.Exit(int(code))
-	}
 	if n := len(rep.Failures()); n > 0 {
 		fatal(fmt.Errorf("%d campaign cell(s) failed", n))
 	}

@@ -66,18 +66,13 @@ type manifest struct {
 	BinarySHA256 string `json:"binary_sha256"`
 	Key          string `json:"key"`
 	GoVersion    string `json:"go_version"`
-	GoOS         string `json:"go_os"`
-	GoArch       string `json:"go_arch"`
 	Spec         string `json:"spec"`
 	Buildset     string `json:"buildset"`
 }
 
 // toolchain describes the go toolchain on PATH and the platform it targets.
-// GOOS/GOARCH participate in the cache key and manifest so a cache directory
-// shared across heterogeneous workers (NFS fleets) can never serve a
-// wrong-platform binary: a foreign entry lands under a different key, and a
-// manifest claiming the local platform for a foreign binary is rejected as
-// corrupt.
+// GOOS/GOARCH participate in the cache key because they determine the
+// binary: a toolchain targeting another platform builds under another key.
 type toolchain struct {
 	Version string
 	OS      string
@@ -214,7 +209,7 @@ func buildLocked(a *artifact, sim *core.Sim, src, key, cacheDir, entryDir string
 	artPath := filepath.Join(entryDir, a.file)
 	manPath := filepath.Join(entryDir, a.manifest)
 
-	if ok, corrupt := verifyCached(artPath, manPath, key, tc); ok {
+	if ok, corrupt := verifyCached(artPath, manPath, key); ok {
 		count(reg, a.counters+".cache.hit")
 		return &BuildResult{BinPath: artPath, Key: key, Cached: true}, nil
 	} else if corrupt {
@@ -270,8 +265,6 @@ func buildLocked(a *artifact, sim *core.Sim, src, key, cacheDir, entryDir string
 		BinarySHA256: hex.EncodeToString(sum[:]),
 		Key:          key,
 		GoVersion:    tc.Version,
-		GoOS:         tc.OS,
-		GoArch:       tc.Arch,
 		Spec:         sim.Spec.Name,
 		Buildset:     sim.BS.Name,
 	}
@@ -304,10 +297,10 @@ func installArtifact(tmp, tmpBin, binPath, manPath string, man manifest) error {
 }
 
 // verifyCached reports whether the cached binary at binPath is usable
-// (manifest present, key and platform match, binary hash matches). corrupt
+// (manifest present, key matches, binary hash matches). corrupt
 // is true when artifacts exist but fail verification — distinguishing damage
 // from a plain cold miss.
-func verifyCached(binPath, manPath, key string, tc toolchain) (ok, corrupt bool) {
+func verifyCached(binPath, manPath, key string) (ok, corrupt bool) {
 	manData, err := os.ReadFile(manPath)
 	if err != nil {
 		// Missing manifest with a present binary is a torn install.
@@ -318,11 +311,6 @@ func verifyCached(binPath, manPath, key string, tc toolchain) (ok, corrupt bool)
 	}
 	var man manifest
 	if json.Unmarshal(manData, &man) != nil || man.Key != key {
-		return false, true
-	}
-	if man.GoOS != tc.OS || man.GoArch != tc.Arch {
-		// A wrong-platform binary under our key can only be a spoofed or
-		// damaged manifest; rebuild rather than ever exec-ing it.
 		return false, true
 	}
 	binData, err := os.ReadFile(binPath)

@@ -249,8 +249,8 @@ func SpawnWithDeadline(binPath string, reg *obs.Registry, deadline time.Duration
 // then SIGKILL after a grace period, and the exchange returns a typed
 // *TimeoutError. This is the guarantee that a wedged runner — stuck in a
 // loop, blocked on a full pipe, or silently dead — can never hang its cell:
-// the cooperative -cell-timeout watchdog cannot preempt a blocked pipe
-// read, but killing the process forces the read to fail. d <= 0 disables
+// nothing in the host can preempt a blocked pipe read, but killing the
+// process forces the read to fail. d <= 0 disables
 // the watchdog.
 func (r *Runner) SetHardDeadline(d time.Duration) { r.hardTimeout = d }
 

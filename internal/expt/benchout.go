@@ -3,8 +3,9 @@ package expt
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
+
+	"singlespec/internal/obs"
 )
 
 // BenchSchema identifies the benchmark-output JSON layout. Bump only with
@@ -42,10 +43,10 @@ type BenchCell struct {
 }
 
 // WriteBenchJSON writes the benchmark document of a sweep's cells to path,
-// preserving cell order (TableII's order is deterministic: buildset-major
-// over the spec's declaration order). The file is indented with a trailing
-// newline, and atomic enough for CI consumption: a partial file is never
-// left behind on encode error because encoding happens before the write.
+// preserving cell order (TableII's order: ISA-major, buildset-minor). The
+// file is indented with a trailing newline and replaced atomically
+// (obs.WriteFileAtomic): a killed run, or a failed write, leaves the
+// previous file whole, which matters when path is a committed baseline.
 func WriteBenchJSON(path string, cfg Config, cells []Cell) error {
 	out := BenchOut{
 		Schema: BenchSchema,
@@ -73,7 +74,7 @@ func WriteBenchJSON(path string, cfg Config, cells []Cell) error {
 		return fmt.Errorf("expt: encode bench json: %w", err)
 	}
 	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := obs.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("expt: write bench json: %w", err)
 	}
 	return nil

@@ -1,19 +1,14 @@
 package expt
 
-// The parallel experiment engine: the paper's evaluation sweeps
-// {ISA × interface} cells over a kernel mix, and every cell is independent
-// of every other, so the sweep fans out across a worker pool. What the
-// workers share — loaded ISAs, resolved lis.Specs, assembled Programs — is
-// read-only by construction; every mutable machine (Machine, Memory,
-// Emulator, Exec) is created on the worker that uses it, per the
-// concurrency contract documented in internal/mach. Results are collected
-// by job index, never by completion order, so the rendered tables are
-// identical for any worker count.
+// The experiment engine: the paper's evaluation sweeps {ISA × interface}
+// cells over a kernel mix. Cells run one at a time, in job order, so a
+// timed cell never shares the host with another cell: the tables compare
+// what one instruction costs, not how cells contend. Loaded ISAs, resolved
+// lis.Specs and assembled Programs are built once per sweep and shared by
+// its cells; each cell synthesizes its own Sim and machines.
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"singlespec/internal/core"
@@ -32,7 +27,7 @@ const (
 	MetricMIPS Metric = iota
 	// MetricWork reports deterministic engine work units per instruction:
 	// the hardware-independent cross-check of the same trends, whose
-	// tables are byte-identical regardless of worker count or host load.
+	// tables are byte-identical from run to run regardless of host load.
 	MetricWork
 )
 
@@ -77,42 +72,18 @@ type Config struct {
 	Scale int
 	// MinDur is the minimum measurement time per (cell, kernel).
 	MinDur time.Duration
-	// Workers is the worker-pool size; <= 0 means runtime.NumCPU().
-	Workers int
 	// Metric selects the table values (wall-clock MIPS or deterministic
 	// work units).
 	Metric Metric
-	// CellTimeout is the wall-clock watchdog per cell attempt: a cell still
-	// running past it is marked errored (after one retry) instead of
-	// stalling the sweep. <= 0 disables the watchdog. The watchdog is
-	// cooperative (see RunLimited), so it catches runaway simulated
-	// programs, not arbitrary host-code hangs.
-	CellTimeout time.Duration
-	// Interrupt, when non-nil, winds the sweep down once the channel is
-	// closed: running cells stop at the next watchdog check and unstarted
-	// cells are marked interrupted without running.
-	Interrupt <-chan struct{}
 	// Obs, when non-nil, receives the sweep's aggregate counters and
-	// histograms: translation-cache traffic, syscall activity, watchdog
-	// checks, and per-cell outcomes. Aggregation is commutative atomic
-	// addition over per-cell deltas, so the totals are identical for any
-	// Workers value; under MetricWork the deltas themselves are
-	// deterministic, making the exported snapshot byte-identical across
-	// worker counts and hosts. Nil disables instrumentation at zero cost.
+	// histograms: translation-cache traffic, syscall activity and per-cell
+	// outcomes. Under MetricWork every per-cell delta is deterministic, so
+	// the exported snapshot is byte-identical from run to run and across
+	// hosts. Nil disables instrumentation at zero cost.
 	Obs *obs.Registry
-	// testHook, when non-nil, runs at the start of every cell attempt.
-	// Tests inject panics and hangs through it to exercise containment.
-	testHook func(isaName, buildset string, attempt int)
-	// testChunkHook, when non-nil, runs at every RunLimited chunk boundary.
-	// Tests inject mid-run interrupts through it.
-	testChunkHook func(r *Runner)
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.NumCPU()
+	// testHook, when non-nil, runs at the start of every cell. Tests
+	// inject panics through it to exercise containment.
+	testHook func(isaName, buildset string)
 }
 
 // cellJob is one {ISA × buildset × options} measurement to schedule.
@@ -122,65 +93,16 @@ type cellJob struct {
 	opts     core.Options
 }
 
-// interrupted reports whether ch (which may be nil) has been closed.
-func interrupted(ch <-chan struct{}) bool {
-	if ch == nil {
-		return false
+// runCells measures jobs one at a time, in job order. Every cell runs
+// guarded: a panicking or failing cell is returned with its Err set while
+// every other cell's result stays intact — the sweep never aborts partway.
+func runCells(jobs []cellJob, cfg Config) []Cell {
+	cells := make([]Cell, len(jobs))
+	for i, j := range jobs {
+		cells[i] = runCellGuarded(j, cfg)
 	}
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
-}
-
-// runCells fans jobs out across a worker pool and collects results by job
-// index, so the rendered tables are identical for any worker count. Every
-// cell runs guarded: a panicking, hung, or failing cell is returned with
-// its Err set while all other cells' results stay intact — the sweep never
-// aborts partway.
-func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
-	workers := cfg.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([]Cell, len(jobs))
-	// Buffered so every job is queued up front: a worker's pickup delay is
-	// then real queue wait, which the manifest reports per cell.
-	start := time.Now()
-	idxCh := make(chan int, len(jobs))
-	for i := range jobs {
-		idxCh <- i
-	}
-	close(idxCh)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				j := jobs[idx]
-				// Shutdown: unstarted cells are marked, not run.
-				if interrupted(cfg.Interrupt) {
-					results[idx] = Cell{ISA: j.progs.ISA.Name, Buildset: j.buildset,
-						Err: &CellError{ISA: j.progs.ISA.Name, Buildset: j.buildset,
-							Kind: CellInterrupted, Err: errInterrupted}}
-					continue
-				}
-				wait := time.Since(start)
-				c := runCellGuarded(j, cfg, minDur)
-				c.QueueWait = wait
-				results[idx] = c
-			}
-		}()
-	}
-	wg.Wait()
-	recordCells(cfg.Obs, results)
-	return results
+	recordCells(cfg.Obs, cells)
+	return cells
 }
 
 // workPerInstrBuckets bounds the per-cell work-units-per-instruction
@@ -188,9 +110,8 @@ func runCells(jobs []cellJob, cfg Config, minDur time.Duration) []Cell {
 // and a few hundred (Step/All/Yes).
 var workPerInstrBuckets = []uint64{4, 8, 16, 32, 64, 128, 256, 512}
 
-// recordCells merges every cell's deterministic counters into reg. Called
-// once per sweep, after the worker pool has quiesced, so a snapshot taken
-// after the sweep is exact.
+// recordCells merges every cell's deterministic counters into reg, once
+// per sweep.
 func recordCells(reg *obs.Registry, cells []Cell) {
 	if reg == nil {
 		return
@@ -202,12 +123,8 @@ func recordCells(reg *obs.Registry, cells []Cell) {
 		} else {
 			reg.Counter("expt.cell.ok").Inc()
 		}
-		if c.Attempts > 1 {
-			add("expt.cell.retries", uint64(c.Attempts-1))
-		}
 		add("expt.instret", c.Instret)
 		add("expt.work_units", c.WorkUnits)
-		add("expt.watchdog.checks", c.Stats.WatchdogChecks)
 		if c.Err == nil && c.Instret > 0 {
 			reg.Histogram("expt.cell.work_per_instr", workPerInstrBuckets).
 				Observe(c.WorkUnits / c.Instret)
@@ -248,58 +165,46 @@ func Outcomes(cells []Cell) []obs.CellOutcome {
 			status = c.Err.Kind.String()
 		}
 		out = append(out, obs.CellOutcome{
-			ISA:         c.ISA,
-			Buildset:    c.Buildset,
-			Status:      status,
-			Attempts:    c.Attempts,
-			Instret:     c.Instret,
-			WorkUnits:   c.WorkUnits,
-			WallMS:      float64(c.Wall.Microseconds()) / 1e3,
-			QueueWaitMS: float64(c.QueueWait.Microseconds()) / 1e3,
+			ISA:       c.ISA,
+			Buildset:  c.Buildset,
+			Status:    status,
+			Instret:   c.Instret,
+			WorkUnits: c.WorkUnits,
+			WallMS:    float64(c.Wall.Microseconds()) / 1e3,
 		})
 	}
 	return out
 }
 
-// buildAllMixes loads every ISA and assembles its kernel mix, one goroutine
-// per ISA. The results are shared read-only by all measurement workers.
+// buildAllMixes loads every ISA and assembles its kernel mix. The results
+// are shared read-only by every cell of the sweep.
 func buildAllMixes(scale int) ([]*Programs, error) {
-	names := isa.Names()
-	out := make([]*Programs, len(names))
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for k, name := range names {
-		wg.Add(1)
-		go func(k int, name string) {
-			defer wg.Done()
-			i, err := isa.Load(name)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			out[k], errs[k] = BuildMix(i, scale)
-		}(k, name)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	var out []*Programs
+	for _, name := range isa.Names() {
+		i, err := isa.Load(name)
 		if err != nil {
 			return nil, err
 		}
+		p, err := BuildMix(i, scale)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
 	}
 	return out, nil
 }
 
-// TableII measures all twelve interfaces on all three ISAs across cfg's
-// worker pool. The returned cells are ordered ISA-major, buildset-minor
-// (Table II order) regardless of worker count. Failed cells render as
-// "ERR:<kind>" markers in the table (the degraded-rendering contract: the
-// table is always complete); inspect them via CellErrors.
+// TableII measures all twelve interfaces on all three ISAs, one cell at a
+// time. The returned cells are ordered ISA-major, buildset-minor (Table II
+// order). Failed cells render as "ERR:<kind>" markers in the table (the
+// degraded-rendering contract: the table is always complete); inspect them
+// via CellErrors.
 func TableII(cfg Config) ([]Cell, *stats.Table, error) {
 	mixes, err := buildAllMixes(cfg.Scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	cells := runCells(tableIIJobs(mixes), cfg, cfg.MinDur)
+	cells := runCells(tableIIJobs(mixes), cfg)
 	return cells, renderTableII(cfg.Metric, cells), nil
 }
 
@@ -351,9 +256,9 @@ func renderTableII(m Metric, cells []Cell) *stats.Table {
 
 // Ablations measures the design-choice ablations DESIGN.md calls out —
 // translated vs. interpreted base cost (paper footnote 5), DCE on/off,
-// forced per-instruction block records — across cfg's worker pool. Like
-// TableII it returns the raw cells alongside the rendered table, so
-// callers can fold them into run manifests.
+// forced per-instruction block records — one cell at a time. Like TableII
+// it returns the raw cells alongside the rendered table, so callers can
+// fold them into run manifests.
 func Ablations(cfg Config) ([]Cell, *stats.Table, error) {
 	type variant struct {
 		label string
@@ -376,7 +281,7 @@ func Ablations(cfg Config) ([]Cell, *stats.Table, error) {
 			jobs = append(jobs, cellJob{progs: progs, buildset: v.bs, opts: v.opts})
 		}
 	}
-	cells := runCells(jobs, cfg, cfg.MinDur)
+	cells := runCells(jobs, cfg)
 	t := stats.NewTable(append([]string{"Configuration"}, isa.Names()...)...)
 	for vi, v := range variants {
 		row := []any{v.label}

@@ -8,6 +8,7 @@ package expt
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"singlespec/internal/asm"
@@ -89,9 +90,6 @@ type Runner struct {
 	x     *core.Exec
 	ran   bool
 	prevW uint64
-	// checks counts cooperative watchdog checks (one per execution chunk
-	// RunLimited dispatched); deterministic for a fixed instruction stream.
-	checks uint64
 }
 
 // NewRunner binds a simulator, ISA, and program.
@@ -118,6 +116,30 @@ func (r *Runner) reset() {
 	r.prog.ReloadData(r.m)
 }
 
+// Run executes the program once, resetting the machine after a previous
+// run and keeping translations warm. The engine runs until the machine
+// halts or stops retiring instructions; a machine left running (a fault
+// loop) is reported as stuck rather than spun on, and a nonzero exit code
+// is an error too.
+func (r *Runner) Run() (instrs, work uint64, err error) {
+	if r.ran {
+		r.reset()
+	}
+	r.ran = true
+	r.x.Run(math.MaxUint64)
+	if !r.m.Halted {
+		return 0, 0, fmt.Errorf("expt: %s/%s stuck at pc %#x (stopped without halting)",
+			r.i.Name, r.sim.BS.Name, r.m.PC)
+	}
+	if r.m.ExitCode != 0 {
+		return 0, 0, fmt.Errorf("expt: %s/%s exited %d", r.i.Name, r.sim.BS.Name, r.m.ExitCode)
+	}
+	w := r.x.Work()
+	dw := w - r.prevW
+	r.prevW = w
+	return r.m.Instret, dw, nil
+}
+
 // Cell is one measured (ISA, interface) speed.
 type Cell struct {
 	ISA      string
@@ -140,29 +162,20 @@ type Cell struct {
 	// MetricWork's fixed run schedule they are deterministic.
 	Instret   uint64
 	WorkUnits uint64
-	// Attempts counts guarded measurement attempts (1 normally, 2 when the
-	// watchdog granted a retry).
-	Attempts int
-	// Wall is the cell's total wall-clock measurement time across
-	// attempts; QueueWait is how long the job sat in the sweep queue
-	// before a worker picked it up. Both are host observations, excluded
-	// from the determinism contract.
-	Wall      time.Duration
-	QueueWait time.Duration
+	// Wall is the cell's wall-clock measurement time: a host observation,
+	// excluded from the determinism contract.
+	Wall time.Duration
 	// Stats aggregates the cell's engine counters; deterministic under
 	// MetricWork.
 	Stats CellStats
 }
 
 // CellStats aggregates one cell's engine counters across its kernels and
-// runs: translation-cache traffic, shared-cache mutations, cooperative
-// watchdog checks, and OS-emulation activity.
+// runs: translation-cache traffic, shared-cache mutations and OS-emulation
+// activity.
 type CellStats struct {
 	Cache  core.ExecStats
 	Shared core.SharedCacheStats
-	// WatchdogChecks counts the cooperative limit checks RunLimited makes
-	// at execution-chunk boundaries (the watchdog granularity).
-	WatchdogChecks uint64
 	// Syscalls counts emulated system calls by number; Denials and Shorts
 	// mirror the emulator's failure counters.
 	Syscalls       map[int]uint64
@@ -173,7 +186,6 @@ type CellStats struct {
 // merge folds one runner's drained counters into the cell totals.
 func (s *CellStats) merge(r *Runner) {
 	s.Cache.Merge(r.x.Stats())
-	s.WatchdogChecks += r.checks
 	if len(r.emu.Calls) > 0 && s.Syscalls == nil {
 		s.Syscalls = map[int]uint64{}
 	}
@@ -187,22 +199,20 @@ func (s *CellStats) merge(r *Runner) {
 // MeasureCell times one (ISA, interface) pair over the mix. Each kernel
 // runs repeatedly until minDur has elapsed (one warmup run first).
 func MeasureCell(p *Programs, buildset string, opts core.Options, minDur time.Duration) (Cell, error) {
-	return measureCell(p, buildset, opts, minDur, Limits{}, false)
+	return measureCell(p, buildset, opts, minDur, false)
 }
 
-// measureCell is MeasureCell bounded by lim: the deadline both cuts off
-// further repeat runs (gracefully, keeping the measurements made) and
-// interrupts a run that overstays it (as an error). Each kernel gets a
+// measureCell is MeasureCell with a choice of schedule. Each kernel gets a
 // warmup run (which validates the program and warms the caches), then
-// measured runs until minDur has elapsed or the deadline passes.
+// measured runs until minDur has elapsed.
 //
 // det selects the deterministic schedule the work metric reports under:
 // one warmup run plus exactly one measured run per kernel, regardless of
 // wall clock. Every engine counter then depends only on the instruction
-// stream, which is what makes -metrics-out byte-identical across -parallel
-// values and hosts (the wall-clock repeat loop would tie run counts — and
+// stream, which is what makes -metrics-out byte-identical from run to run
+// and across hosts (the wall-clock repeat loop would tie run counts — and
 // so counter totals — to host speed).
-func measureCell(p *Programs, buildset string, opts core.Options, minDur time.Duration, lim Limits, det bool) (Cell, error) {
+func measureCell(p *Programs, buildset string, opts core.Options, minDur time.Duration, det bool) (Cell, error) {
 	sim, err := core.Synthesize(p.ISA.Spec, buildset, opts)
 	if err != nil {
 		return Cell{}, err
@@ -215,7 +225,7 @@ func measureCell(p *Programs, buildset string, opts core.Options, minDur time.Du
 		var elapsed time.Duration
 		for run := 0; ; run++ {
 			start := time.Now()
-			in, wk, err := runner.RunLimited(lim)
+			in, wk, err := runner.Run()
 			if err != nil {
 				return Cell{}, fmt.Errorf("%s: %w", p.Names[idx], err)
 			}
@@ -230,9 +240,6 @@ func measureCell(p *Programs, buildset string, opts core.Options, minDur time.Du
 			elapsed += el
 			if det || elapsed >= minDur {
 				break // det: a fixed schedule keeps the counters host-independent
-			}
-			if !lim.Deadline.IsZero() && !time.Now().Before(lim.Deadline) {
-				break // keep what we measured; the watchdog is about hangs
 			}
 		}
 		if elapsed <= 0 {

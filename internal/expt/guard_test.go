@@ -1,12 +1,8 @@
 package expt
 
 import (
-	"errors"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"singlespec/internal/asm"
 	"singlespec/internal/core"
@@ -36,8 +32,8 @@ func testMix(t *testing.T) *Programs {
 
 // TestSweepSurvivesPanickingCell injects a panic into one cell of a sweep
 // and checks the containment contract: the panicking cell is marked with a
-// typed error (after its one retry), every other cell's measurement is
-// intact, and nothing escapes the worker pool.
+// typed error after one attempt, every other cell's measurement is intact,
+// and nothing escapes the sweep.
 func TestSweepSurvivesPanickingCell(t *testing.T) {
 	progs := testMix(t)
 	buildsets := []string{"one_min", "block_min", "one_all"}
@@ -45,15 +41,19 @@ func TestSweepSurvivesPanickingCell(t *testing.T) {
 	for _, bs := range buildsets {
 		jobs = append(jobs, cellJob{progs: progs, buildset: bs})
 	}
+	attempts := 0
 	cfg := Config{
-		Workers: 3,
-		testHook: func(isaName, buildset string, attempt int) {
+		testHook: func(isaName, buildset string) {
 			if buildset == "block_min" {
+				attempts++
 				panic("injected cell failure")
 			}
 		},
 	}
-	cells := runCells(jobs, cfg, 0)
+	cells := runCells(jobs, cfg)
+	if attempts != 1 {
+		t.Errorf("panicking cell ran %d times, want 1", attempts)
+	}
 	for idx, c := range cells {
 		bs := buildsets[idx]
 		if bs == "block_min" {
@@ -62,9 +62,6 @@ func TestSweepSurvivesPanickingCell(t *testing.T) {
 			}
 			if c.Err.Kind != CellPanic {
 				t.Errorf("kind = %v, want panic", c.Err.Kind)
-			}
-			if c.Err.Attempts != 2 {
-				t.Errorf("attempts = %d, want 2 (one retry)", c.Err.Attempts)
 			}
 			if !strings.Contains(c.Err.Error(), "injected cell failure") {
 				t.Errorf("error %q lost the panic value", c.Err.Error())
@@ -89,112 +86,34 @@ func TestSweepSurvivesPanickingCell(t *testing.T) {
 	}
 }
 
-// TestCellRetryRecoversTransientPanic panics once, mid-cell, after the
-// first attempt has measured part of the mix: the bounded retry must
-// re-measure the cell from scratch and report exactly the clean run's
-// deterministic totals, with Attempts = 2.
-func TestCellRetryRecoversTransientPanic(t *testing.T) {
-	jobs := []cellJob{{progs: testMix(t), buildset: "one_min"}}
-	clean := runCells(jobs, Config{Metric: MetricWork}, 0)
-	if clean[0].Err != nil {
-		t.Fatal(clean[0].Err)
-	}
-	var chunks atomic.Int64
-	cfg := Config{
-		Metric: MetricWork,
-		testChunkHook: func(r *Runner) {
-			if chunks.Add(1) == 3 {
-				panic("transient")
-			}
-		},
-	}
-	c := runCells(jobs, cfg, 0)[0]
-	if c.Err != nil {
-		t.Fatalf("retry did not recover: %v", c.Err)
-	}
-	if c.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", c.Attempts)
-	}
-	if c.Instret != clean[0].Instret {
-		t.Errorf("instret %d differs from clean run %d", c.Instret, clean[0].Instret)
-	}
-	if c.WorkUnits != clean[0].WorkUnits {
-		t.Errorf("work units %d differ from clean run %d", c.WorkUnits, clean[0].WorkUnits)
-	}
-	if c.WorkPerInstr != clean[0].WorkPerInstr {
-		t.Errorf("work/instr %v differs from clean run %v", c.WorkPerInstr, clean[0].WorkPerInstr)
-	}
-}
-
-// TestInterruptedSweepWindsDown closes the interrupt channel before the
-// sweep starts: every cell must be marked interrupted without running.
-func TestInterruptedSweepWindsDown(t *testing.T) {
-	progs := testMix(t)
-	var jobs []cellJob
-	for _, bs := range []string{"one_min", "block_min", "one_all"} {
-		jobs = append(jobs, cellJob{progs: progs, buildset: bs})
-	}
-	stop := make(chan struct{})
-	close(stop)
-	cfg := Config{Workers: 2, Metric: MetricWork, Interrupt: stop}
-	for _, c := range runCells(jobs, cfg, 0) {
-		if c.Err == nil || c.Err.Kind != CellInterrupted {
-			t.Errorf("cell %s/%s not marked interrupted: %+v", c.ISA, c.Buildset, c.Err)
-		}
-	}
-}
-
-// TestMidRunInterruptIsTyped interrupts a cell that is already executing:
-// the cooperative watchdog must stop it at a chunk boundary with the
-// interrupted kind (not retried), so a signal handler never waits for a
-// long cell to finish.
-func TestMidRunInterruptIsTyped(t *testing.T) {
-	progs := testMix(t)
-	stop := make(chan struct{})
-	var once sync.Once
-	cfg := Config{
-		Metric:        MetricWork,
-		Interrupt:     stop,
-		testChunkHook: func(r *Runner) { once.Do(func() { close(stop) }) },
-	}
-	cells := runCells([]cellJob{{progs: progs, buildset: "one_min"}}, cfg, 0)
-	ce := cells[0].Err
-	if ce == nil || ce.Kind != CellInterrupted {
-		t.Fatalf("cell error = %+v, want interrupted", ce)
-	}
-	if ce.Attempts != 1 {
-		t.Errorf("interrupted cell was retried: attempts = %d", ce.Attempts)
-	}
-	if !errors.Is(ce, errInterrupted) {
-		t.Error("CellError does not unwrap to the interrupt sentinel")
-	}
-}
-
-// TestRunLimitedDeadline runs an endless program under a short deadline:
-// the cooperative watchdog must interrupt it between chunks instead of
-// hanging the caller.
-func TestRunLimitedDeadline(t *testing.T) {
+// TestRunnerRejectsNonzeroExit runs a program that exits 3: the runner must
+// report it as an error, and the guarded sweep as a typed failed cell.
+func TestRunnerRejectsNonzeroExit(t *testing.T) {
 	i := isatest.Load(t, "alpha64")
 	a, err := asm.New(i)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := a.Assemble("spin.s", `
+	prog, err := a.Assemble("exit3.s", `
 .text
 _start:
-    br r31, _start
+    addq r31, 1, r0        // SysExit
+    addq r31, 3, r16
+    callsys
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := mustSynth(t, i, "one_min")
-	r := NewRunner(sim, i, prog)
-	start := time.Now()
-	_, _, err = r.RunLimited(Limits{Deadline: time.Now().Add(50 * time.Millisecond)})
-	if !errors.Is(err, errDeadline) {
-		t.Fatalf("err = %v, want deadline sentinel", err)
+	r := NewRunner(mustSynth(t, i, "one_min"), i, prog)
+	if _, _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "exited 3") {
+		t.Fatalf("Run err = %v, want exit 3", err)
 	}
-	if time.Since(start) > 10*time.Second {
-		t.Errorf("watchdog took %v to fire", time.Since(start))
+	progs := &Programs{ISA: i, Progs: []*asm.Program{prog}, Names: []string{"exit3"}}
+	c := runCells([]cellJob{{progs: progs, buildset: "one_min"}}, Config{Metric: MetricWork})[0]
+	if c.Err == nil || c.Err.Kind != CellFailed {
+		t.Fatalf("cell error = %v, want kind failed", c.Err)
+	}
+	if c.Err.Stack != nil {
+		t.Error("failed cell carries a panic stack")
 	}
 }

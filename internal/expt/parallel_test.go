@@ -1,12 +1,9 @@
 package expt
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"singlespec/internal/asm"
 	"singlespec/internal/core"
@@ -14,16 +11,15 @@ import (
 	"singlespec/internal/isa/isatest"
 	"singlespec/internal/kernels"
 	"singlespec/internal/mach"
-	"singlespec/internal/obs"
 	"singlespec/internal/sysemu"
 )
 
-// These tests prove the parallel engine's central claim: one synthesized
-// Sim (compiled spec + shared translation cache) can be shared by N
-// goroutines, each with its own Machine/Memory/Emulator, and every
-// goroutine observes exactly the state, output, and work counts of a
-// serial run. Run them under -race to exercise the internal/mach
-// concurrency contract.
+// These tests prove the shared-Sim contract documented in internal/mach:
+// one synthesized Sim (compiled spec + shared translation cache) can be
+// shared by N goroutines, each with its own Machine/Memory/Emulator, and
+// every goroutine observes exactly the state, output, and work counts of a
+// serial run. examples/multicore relies on it. Run them under -race to
+// exercise the concurrency contract.
 
 // printProg writes "OK\n" and exits 0 — the stdout-producing workload for
 // the determinism comparison.
@@ -164,85 +160,5 @@ func TestSharedSimParallelDeterminism(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEngineWorkerCountDeterminism asserts the engine's rendered tables,
-// its exported metrics snapshot, and the manifest cell outcomes are all
-// byte-identical for any worker count under the deterministic work metric.
-// Three properties make the metrics half hold — the work metric runs a
-// fixed schedule (warmup + one measured run per kernel), each cell owns
-// its Sim and runs on exactly one worker, and registry aggregation is
-// commutative addition over per-cell deltas. Wall-clock fields (wall_ms,
-// queue_wait_ms) are host observations outside the contract and are
-// zeroed before comparison.
-func TestEngineWorkerCountDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measurement test")
-	}
-	run := func(workers int) (cells []Cell, table, headline string, snap, outcomes []byte) {
-		reg := obs.NewRegistry()
-		cfg := Config{Scale: 1, MinDur: time.Millisecond, Workers: workers, Metric: MetricWork, Obs: reg}
-		cells, tab, err := TableII(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err = reg.Snapshot().MarshalIndent()
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs := Outcomes(cells)
-		for i := range outs {
-			outs[i].WallMS, outs[i].QueueWaitMS = 0, 0
-		}
-		oj, err := json.Marshal(outs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cells, tab.String(), Headline(cells, MetricWork).String(), snap, oj
-	}
-	serialCells, serialTab, serialHead, serialSnap, serialOut := run(1)
-	parCells, parTab, parHead, parSnap, parOut := run(4)
-	if serialTab != parTab {
-		t.Errorf("Table II differs between 1 and 4 workers:\n--- serial\n%s--- parallel\n%s", serialTab, parTab)
-	}
-	if serialHead != parHead {
-		t.Errorf("headline differs between 1 and 4 workers:\n--- serial\n%s--- parallel\n%s", serialHead, parHead)
-	}
-	if !bytes.Equal(serialSnap, parSnap) {
-		t.Errorf("metrics snapshot differs between 1 and 4 workers:\n--- serial\n%s\n--- parallel\n%s", serialSnap, parSnap)
-	}
-	if !bytes.Equal(serialOut, parOut) {
-		t.Errorf("cell outcomes differ between 1 and 4 workers:\n--- serial\n%s\n--- parallel\n%s", serialOut, parOut)
-	}
-	for idx := range serialCells {
-		s, p := serialCells[idx], parCells[idx]
-		if s.ISA != p.ISA || s.Buildset != p.Buildset {
-			t.Fatalf("cell %d ordering differs: %s/%s vs %s/%s", idx, s.ISA, s.Buildset, p.ISA, p.Buildset)
-		}
-		if s.WorkPerInstr != p.WorkPerInstr {
-			t.Errorf("cell %d (%s/%s) work/instr differs: %v vs %v",
-				idx, s.ISA, s.Buildset, s.WorkPerInstr, p.WorkPerInstr)
-		}
-	}
-	// Sanity: the snapshot actually carries the instrumented counter
-	// families (the same names EXPERIMENTS.md documents and CI validates).
-	var snap obs.Snapshot
-	if err := json.Unmarshal(serialSnap, &snap); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{
-		"core.transcache.unit.l1_hit", "core.transcache.unit.translations",
-		"core.transcache.block.builds", "core.transcache.unit.shared_insert",
-		"core.transcache.block.chain_link", "core.transcache.block.chain_follow",
-		"expt.cell.ok", "expt.instret", "expt.watchdog.checks",
-		"sysemu.calls.exit",
-	} {
-		if snap.Counters[name] == 0 {
-			t.Errorf("counter %q missing or zero in snapshot", name)
-		}
-	}
-	if snap.Histograms["expt.cell.work_per_instr"].Count == 0 {
-		t.Error("work_per_instr histogram is empty")
 	}
 }

@@ -2,9 +2,7 @@ package faultinj
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
 
 	"singlespec/internal/asm"
 	"singlespec/internal/core"
@@ -21,9 +19,6 @@ type Config struct {
 	Seed uint64
 	// Events is the number of fault events attempted per cell (default 4).
 	Events int
-	// Workers is the worker-pool size; <= 0 means runtime.NumCPU(). The
-	// report is byte-identical for any value.
-	Workers int
 	// Classes selects the fault classes to run; nil means all.
 	Classes []Class
 	// ISAs selects target ISAs for the per-kernel classes; nil means all
@@ -39,16 +34,13 @@ type Config struct {
 	// Obs, when non-nil, receives the campaign's per-class outcome
 	// counters (planned/injected/recovered/faults/divergences/errors)
 	// after the run. The report is deterministic, so the counters are
-	// byte-identical across worker counts. Nil disables at zero cost.
+	// byte-identical from run to run. Nil disables at zero cost.
 	Obs *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
 	if c.Events <= 0 {
 		c.Events = 4
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
 	}
 	if len(c.Classes) == 0 {
 		c.Classes = AllClasses()
@@ -139,11 +131,11 @@ func CampaignCells(cfg Config) []CellSpec {
 }
 
 // Run executes a campaign: every cell independently injects its schedule of
-// faults, recovers, and differentially checks the result. Cells fan out
-// across a worker pool; results are collected by cell index, so the report
-// is byte-identical for any worker count. Cell failures (divergences,
-// errors, panics) are contained in their Result — Run itself only fails on
-// configuration errors.
+// faults, recovers, and differentially checks the result. Cells run one at
+// a time in CampaignCells order, and each cell's schedule derives from the
+// seed and the cell's identity, so the same seed gives a byte-identical
+// report. Cell failures (divergences, errors, panics) are contained in
+// their Result — Run itself only fails on configuration errors.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	for _, k := range cfg.Kernels {
@@ -153,29 +145,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 	specs := CampaignCells(cfg)
 	results := make([]Result, len(specs))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers > len(specs) {
-		workers = len(specs)
+	for i, cs := range specs {
+		results[i] = runCell(cs, cfg, injectOpts{})
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				results[idx] = runCell(specs[idx], cfg, injectOpts{})
-			}
-		}()
-	}
-	for i := range specs {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
 	rep := &Report{Seed: cfg.Seed, Results: results}
 	rep.record(cfg.Obs)
 	return rep, nil
@@ -191,7 +163,7 @@ func runCell(cs CellSpec, cfg Config, opts injectOpts) (res Result) {
 		}
 	}()
 	// The per-cell stream depends on the campaign seed and the cell's
-	// identity, never on scheduling order.
+	// identity, never on the cells run before it.
 	rng := NewRNG(SplitMix64(cfg.Seed^hashKey(res.Key())), hashKey(res.Key()))
 	i, err := isa.Load(cs.ISA)
 	if err != nil {

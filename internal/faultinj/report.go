@@ -9,8 +9,8 @@ import (
 )
 
 // Report is the rendered outcome of one campaign. For a given Config it is
-// byte-identical across runs, hosts, and worker counts — the determinism
-// contract campaigns are built on.
+// byte-identical across runs and hosts — the determinism contract
+// campaigns are built on.
 type Report struct {
 	Seed    uint64
 	Results []Result
@@ -29,7 +29,7 @@ func (r *Report) Failures() []Result {
 
 // record merges the campaign's outcome counters into reg, one counter
 // family per fault class. Results are deterministic per seed, so the
-// counters inherit the report's byte-identity across worker counts.
+// counters inherit the report's byte-identity from run to run.
 func (r *Report) record(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -66,7 +66,6 @@ func (r *Report) Outcomes() []obs.CellOutcome {
 			ISA:      res.ISA,
 			Buildset: res.Buildset + "/" + res.Class.String() + "/" + res.Kernel,
 			Status:   status,
-			Attempts: 1,
 			Instret:  res.RefInstret,
 		})
 	}

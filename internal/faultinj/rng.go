@@ -6,7 +6,7 @@
 // each faulted-then-recovered run against a clean reference run and reports
 // the first divergence. Everything derives from one 64-bit seed: no wall
 // clock, no global RNG, so the same seed produces byte-identical reports
-// across runs and worker counts.
+// across runs and hosts.
 package faultinj
 
 // RNG is a small PCG-XSH-RR generator: 64-bit state, 32-bit output. It is
@@ -53,8 +53,8 @@ func (r *RNG) Intn(n int) int {
 }
 
 // SplitMix64 is the standard 64-bit mixer, used to derive per-cell seeds
-// from the campaign seed so cells are independent regardless of the order
-// workers pick them up.
+// from the campaign seed so cells are independent of the order they run
+// in.
 func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

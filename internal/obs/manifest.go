@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"runtime"
 )
 
@@ -13,9 +14,8 @@ import (
 // it.
 //
 // Determinism: under the work metric the Metrics section and every cell's
-// status/attempts/instret/work_units fields are byte-identical across
-// -parallel values and across runs on any host. The wall_ms and
-// queue_wait_ms cell fields, and the go_version/os/arch header, are
+// status/instret/work_units fields are byte-identical from run to run on
+// any host. The wall_ms cell field and the go_version/os/arch header are
 // host-dependent by nature and excluded from that contract (see
 // EXPERIMENTS.md, "Reading -metrics-out").
 type Manifest struct {
@@ -25,29 +25,24 @@ type Manifest struct {
 	Arch      string `json:"arch"`
 	// Flags records the flag values the run was invoked with (including
 	// the campaign seed when fault injection ran).
-	Flags map[string]string `json:"flags"`
-	// Interrupted records that the run was cut short by a shutdown signal
-	// and wound down cleanly (manifest written).
-	Interrupted bool          `json:"interrupted,omitempty"`
-	Cells       []CellOutcome `json:"cells"`
-	Metrics     Snapshot      `json:"metrics"`
+	Flags   map[string]string `json:"flags"`
+	Cells   []CellOutcome     `json:"cells"`
+	Metrics Snapshot          `json:"metrics"`
 }
 
 // CellOutcome is the manifest record of one sweep or campaign cell.
 type CellOutcome struct {
 	ISA      string `json:"isa"`
 	Buildset string `json:"buildset"`
-	// Status is "ok", or the cell's error kind ("panic", "timeout",
-	// "interrupted", "failed"), or a campaign verdict ("diverged", "error").
-	Status   string `json:"status"`
-	Attempts int    `json:"attempts"`
+	// Status is "ok", or the cell's error kind ("panic", "failed"), or a
+	// campaign verdict ("diverged", "error").
+	Status string `json:"status"`
 	// Instret and WorkUnits are the cell's raw deterministic totals.
 	Instret   uint64 `json:"instret"`
 	WorkUnits uint64 `json:"work_units"`
-	// WallMS and QueueWaitMS are host wall-clock observations; they vary
-	// run to run and are excluded from the determinism contract.
-	WallMS      float64 `json:"wall_ms"`
-	QueueWaitMS float64 `json:"queue_wait_ms"`
+	// WallMS is a host wall-clock observation; it varies run to run and is
+	// excluded from the determinism contract.
+	WallMS float64 `json:"wall_ms"`
 }
 
 // NewManifest returns a manifest stamped with the current toolchain.
@@ -66,11 +61,43 @@ func (m *Manifest) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(m, "", "  ")
 }
 
-// WriteFile writes the manifest to path as indented JSON.
+// WriteFile writes the manifest to path as indented JSON, through
+// WriteFileAtomic.
 func (m *Manifest) WriteFile(path string) error {
 	data, err := m.MarshalIndent()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return WriteFileAtomic(path, append(data, '\n'))
+}
+
+// WriteFileAtomic replaces path with data so that a reader, or a run killed
+// partway, sees either the old file or the whole new one, never a torn
+// one. It writes a temp file in path's directory, syncs and closes it, then
+// renames it over path. On any failure the temp file is removed and path
+// is left as it was.
+func WriteFileAtomic(path string, data []byte) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }

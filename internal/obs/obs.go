@@ -7,10 +7,10 @@
 // Two properties drive the design:
 //
 //   - Race safety. Counters and histogram buckets are atomics, and the
-//     registry's get-or-create paths are guarded, so any number of sweep
-//     workers may increment concurrently. Addition is commutative, so an
-//     aggregate built from per-cell deltas is identical for any worker
-//     count — the determinism contract EXPERIMENTS.md documents.
+//     registry's get-or-create paths are guarded, so concurrent users (the
+//     AOT build cache's racing builds, say) may share one registry.
+//     Addition is commutative, so an aggregate of deterministic deltas is
+//     deterministic whatever order they arrive in.
 //
 //   - Zero cost when disabled. Every method is nil-safe: a nil *Registry
 //     hands out nil *Counter and *Histogram values whose methods are

@@ -148,7 +148,7 @@ func TestManifestWriteFile(t *testing.T) {
 	m.Flags["metric"] = "work"
 	m.Cells = append(m.Cells, CellOutcome{
 		ISA: "alpha64", Buildset: "block_min", Status: "ok",
-		Attempts: 1, Instret: 1000, WorkUnits: 4000,
+		Instret: 1000, WorkUnits: 4000,
 	})
 	r := NewRegistry()
 	r.Counter("expt.cell.ok").Inc()
@@ -180,5 +180,41 @@ func TestManifestWriteFile(t *testing.T) {
 	}
 	if len(back.Cells) != 1 || back.Cells[0].Status != "ok" {
 		t.Errorf("cells round-trip mismatch: %+v", back.Cells)
+	}
+}
+
+// TestWriteFileAtomic checks that a write replaces an existing file whole,
+// and that a failed write (the target is a directory, so the final rename
+// fails) returns an error and leaves no temp file behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.json")
+	if err := os.WriteFile(path, []byte("old contents, longer than the new\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("new\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new\n" {
+		t.Fatalf("after write: %q, %v; want %q", got, err, "new\n")
+	}
+
+	target := filepath.Join(dir, "sub")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("x")); err == nil {
+		t.Fatal("write over a directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 2 || names[0] != "out.json" || names[1] != "sub" {
+		t.Errorf("directory holds %v after a failed write, want [out.json sub]", names)
 	}
 }
