@@ -44,7 +44,9 @@ func main() {
 
 	metric, metricErr := expt.ParseMetric(*metricName)
 	classes, classErr := faultinj.ParseClasses(*faultClasses)
-	if err := errors.Join(metricErr, classErr, checkFlags(*table, *scale, *faultSeed, *faultEvents, *benchOut)); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := errors.Join(metricErr, classErr, checkFlags(*table, *scale, *faultSeed, *faultEvents, *benchOut, set)); err != nil {
 		fmt.Fprintln(os.Stderr, "ssbench:", err)
 		os.Exit(2)
 	}
@@ -138,8 +140,20 @@ func main() {
 }
 
 // checkFlags rejects flag values that would do nothing or be silently
-// replaced; ssbench reports them as usage errors before any work starts.
-func checkFlags(table, scale int, faultSeed int64, faultEvents int, benchOut string) error {
+// replaced, and flags set (named in set) for the mode ssbench is not
+// running; ssbench reports them as usage errors before any work starts.
+func checkFlags(table, scale int, faultSeed int64, faultEvents int, benchOut string, set map[string]bool) error {
+	campaign := faultSeed >= 0
+	for _, name := range []string{"table", "scale", "dur", "metric"} {
+		if campaign && set[name] {
+			return fmt.Errorf("-%s sets up the tables, which a -faults campaign does not measure", name)
+		}
+	}
+	for _, name := range []string{"fault-events", "fault-classes"} {
+		if !campaign && set[name] {
+			return fmt.Errorf("-%s configures a -faults campaign, and none was asked for", name)
+		}
+	}
 	switch {
 	case table < 0 || table > 3:
 		return fmt.Errorf("-table %d: want 0 (all), 1, 2 or 3", table)
@@ -147,7 +161,7 @@ func checkFlags(table, scale int, faultSeed int64, faultEvents int, benchOut str
 		return fmt.Errorf("-scale %d: want at least 1", scale)
 	case faultEvents < 1:
 		return fmt.Errorf("-fault-events %d: want at least 1", faultEvents)
-	case benchOut != "" && faultSeed >= 0:
+	case benchOut != "" && campaign:
 		return errors.New("-bench-out writes the Table II grid, which a -faults campaign does not measure")
 	case benchOut != "" && table == 1:
 		return errors.New("-bench-out writes the Table II grid, which -table 1 does not measure")

@@ -20,20 +20,33 @@ func TestCheckFlags(t *testing.T) {
 		faults      int64
 		faultEvents int
 		benchOut    string
+		set         []string // flags given on the command line
 		ok          bool
 	}{
-		{"defaults", 0, 2, -1, 4, "", true},
-		{"table 3 with bench-out", 3, 1, -1, 4, "b.json", true},
-		{"campaign", 0, 2, 0, 2, "", true},
-		{"table 4", 4, 2, -1, 4, "", false},
-		{"table -1", -1, 2, -1, 4, "", false},
-		{"scale 0", 2, 0, -1, 4, "", false},
-		{"table 1 with bench-out", 1, 2, -1, 4, "b.json", false},
-		{"campaign with bench-out", 0, 2, 7, 4, "b.json", false},
-		{"negative fault events", 0, 2, 0, -5, "", false},
-		{"zero fault events", 0, 2, 0, 0, "", false},
+		{"defaults", 0, 2, -1, 4, "", nil, true},
+		{"table 3 with bench-out", 3, 1, -1, 4, "b.json", []string{"table", "scale", "bench-out"}, true},
+		{"campaign", 0, 2, 0, 2, "", []string{"faults", "fault-events", "fault-classes"}, true},
+		{"campaign with metrics-out", 0, 2, 0, 4, "", []string{"faults", "metrics-out"}, true},
+		{"table 4", 4, 2, -1, 4, "", []string{"table"}, false},
+		{"table -1", -1, 2, -1, 4, "", []string{"table"}, false},
+		{"scale 0", 2, 0, -1, 4, "", []string{"scale"}, false},
+		{"table 1 with bench-out", 1, 2, -1, 4, "b.json", []string{"table", "bench-out"}, false},
+		{"campaign with bench-out", 0, 2, 7, 4, "b.json", []string{"faults", "bench-out"}, false},
+		{"negative fault events", 0, 2, 0, -5, "", []string{"faults", "fault-events"}, false},
+		{"zero fault events", 0, 2, 0, 0, "", []string{"faults", "fault-events"}, false},
+		{"campaign with table", 2, 2, 0, 1, "", []string{"faults", "fault-events", "table"}, false},
+		{"campaign with scale", 0, 3, 0, 4, "", []string{"faults", "scale"}, false},
+		{"campaign with dur", 0, 2, 0, 4, "", []string{"faults", "dur"}, false},
+		{"campaign with metric", 0, 2, 0, 4, "", []string{"faults", "metric"}, false},
+		{"fault events without campaign", 0, 2, -1, 1, "", []string{"fault-events"}, false},
+		{"fault classes without campaign", 2, 2, -1, 4, "", []string{"table", "fault-classes"}, false},
+		{"tables with faults -1", 2, 2, -1, 4, "", []string{"faults", "table"}, true},
 	} {
-		err := checkFlags(c.table, c.scale, c.faults, c.faultEvents, c.benchOut)
+		set := map[string]bool{}
+		for _, name := range c.set {
+			set[name] = true
+		}
+		err := checkFlags(c.table, c.scale, c.faults, c.faultEvents, c.benchOut, set)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: checkFlags = %v, want ok %v", c.name, err, c.ok)
 		}

@@ -53,7 +53,7 @@ func TestMain(m *testing.M) {
 }
 
 // requireToolchain skips with a reason when runner binaries cannot be
-// built here.
+// built here: no toolchain, or no module source to build them in.
 func requireToolchain(t *testing.T) {
 	t.Helper()
 	if _, err := probeToolchain(); errors.Is(err, ErrNoToolchain) {
@@ -61,6 +61,7 @@ func requireToolchain(t *testing.T) {
 	} else if err != nil {
 		t.Fatal(err)
 	}
+	requireModuleSource(t)
 }
 
 func loadSim(t *testing.T, isaName, buildset string) (*isa.ISA, *core.Sim) {

@@ -1,6 +1,8 @@
 // Package aot compiles the specialized simulator source the core emitter
-// produces for one (spec, buildset) pair into a standalone runner binary,
-// executes programs through it over a length-prefixed pipe protocol, and —
+// produces for one (spec, buildset) pair into a runner binary, built as a
+// package of this module on the interpreter's machine substrate (mach,
+// sysemu, lis), executes programs through it over a length-prefixed pipe
+// protocol, and —
 // the heart of the package — differentially verifies the binary against the
 // closure interpreter at retire granularity. It closes the paper's §IV
 // loop: the same single specification drives both the in-process
@@ -8,6 +10,7 @@
 package aot
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -16,6 +19,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -35,12 +40,19 @@ const abiVersion = "aot-v3"
 // reason rather than failing.
 var ErrNoToolchain = errors.New("aot: go toolchain not available on PATH")
 
+// ErrNoSource reports that the source of the singlespec module, inside
+// which runners are built, is not on disk where this package was compiled
+// from: a -trimpath binary, say, or one moved away from its checkout.
+// Callers skip AOT cells with this reason, as they do for ErrNoToolchain.
+var ErrNoSource = errors.New("aot: singlespec module source not found")
+
 // BuildResult describes one built (or cache-hit) runner binary.
 type BuildResult struct {
 	// BinPath is the runner binary, under the cache directory.
 	BinPath string
-	// Key is the full hex cache key (SHA-256 of generated source, harness,
-	// go.mod, toolchain version, and ABI tag).
+	// Key is the full hex cache key (SHA-256 of the generated source, the
+	// harness, the source of the module packages they link, the toolchain
+	// and the ABI tag).
 	Key string
 	// Cached reports whether a verified cached binary was reused.
 	Cached bool
@@ -57,8 +69,6 @@ func RunnerConvFor(c isa.Convention) core.RunnerConv {
 		StackTop:   c.StackTop,
 	}
 }
-
-const runnerGoMod = "module aotrunner\n\ngo 1.24\n"
 
 // manifest records what a cached binary was built from, plus its own hash
 // so torn or tampered artifacts are detected before reuse.
@@ -117,6 +127,101 @@ func probeToolchain() (toolchain, error) {
 	return goProbeTC, goProbeErr
 }
 
+// modulePath is the module runners build in. Their harness imports its
+// internal packages, which only packages of the module may do.
+const modulePath = "singlespec"
+
+// runnerImports are the module packages the harness and the generated
+// source import (TestRunnerImportsListed keeps the list whole).
+var runnerImports = []string{
+	modulePath + "/internal/isa",
+	modulePath + "/internal/lis",
+	modulePath + "/internal/mach",
+	modulePath + "/internal/sysemu",
+}
+
+// moduleSrc is the module source a runner builds against.
+type moduleSrc struct {
+	root string   // module root directory
+	deps string   // digest of the source of the module packages runners link
+	pkgs []string // those packages' import paths
+}
+
+var (
+	modOnce sync.Once
+	modSrc  moduleSrc
+	modErr  error
+)
+
+// moduleSource finds the module root from this file's compiled path and
+// digests the packages runners link, once per process. The root is
+// derived, never configured: a binary built without its source paths
+// (-trimpath) gets ErrNoSource, and so does one whose root holds no go.mod
+// declaring this module.
+func moduleSource(gobin string) (moduleSrc, error) {
+	modOnce.Do(func() {
+		_, file, _, ok := runtime.Caller(0)
+		if !ok || !filepath.IsAbs(file) {
+			modErr = fmt.Errorf("%w: this binary records no source paths", ErrNoSource)
+			return
+		}
+		modSrc.root = filepath.Dir(filepath.Dir(filepath.Dir(file))) // root/internal/aot/build.go
+		modSrc.deps, modSrc.pkgs, modErr = depsDigest(gobin, modSrc.root)
+		if modErr != nil {
+			modErr = fmt.Errorf("%w: %v", ErrNoSource, modErr)
+		}
+	})
+	return modSrc, modErr
+}
+
+// depsDigest hashes the source of every module package a runner links,
+// runnerImports and their dependencies as the go command resolves them in
+// the module at root, which must be this module: each package's Go files
+// and the files it embeds (isa's .lis descriptions).
+func depsDigest(gobin, root string) (string, []string, error) {
+	var stderr bytes.Buffer
+	cmd := exec.Command(gobin, append([]string{"list", "-deps",
+		"-json=ImportPath,Dir,Standard,Module,GoFiles,CgoFiles,SFiles,EmbedFiles"}, runnerImports...)...)
+	cmd.Dir = root
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", nil, fmt.Errorf("go list in %s: %w: %s", root, err, stderr.Bytes())
+	}
+	var pkgs []string
+	h := sha256.New()
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p struct {
+			ImportPath, Dir string
+			Standard        bool
+			Module          *struct {
+				Path string
+				Main bool
+			}
+			GoFiles, CgoFiles, SFiles, EmbedFiles []string
+		}
+		if err := dec.Decode(&p); err != nil {
+			return "", nil, err
+		}
+		if p.Standard {
+			continue
+		}
+		if p.Module == nil || !p.Module.Main || p.Module.Path != modulePath {
+			return "", nil, fmt.Errorf("%s is not a package of module %s rooted at %s", p.ImportPath, modulePath, root)
+		}
+		pkgs = append(pkgs, p.ImportPath)
+		for _, name := range slices.Concat(p.GoFiles, p.CgoFiles, p.SFiles, p.EmbedFiles) {
+			data, err := os.ReadFile(filepath.Join(p.Dir, name))
+			if err != nil {
+				return "", nil, err
+			}
+			fmt.Fprintf(h, "%s/%s\x00%d\x00", p.ImportPath, name, len(data))
+			h.Write(data)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), pkgs, nil
+}
+
 // inflight is the in-process singleflight state for one cache key: racing
 // cells block on done and share the winner's result.
 type inflight struct {
@@ -139,9 +244,6 @@ type artifact struct {
 	manifest string   // manifest file name in the cache entry
 	counters string   // counter prefix: <counters>.cache.{hit,miss,corrupt}, <counters>.build
 	flags    []string // go build flags ahead of -o
-	// uniqueModule gives the generated module a path unique to the cache
-	// key instead of runnerGoMod's fixed one (see pluginArtifact).
-	uniqueModule bool
 	// unavailable, when set, wraps every go build failure: the artifact
 	// kind is optional, and its callers test for the condition.
 	unavailable error
@@ -150,12 +252,13 @@ type artifact struct {
 var binaryArtifact = &artifact{file: "runner", manifest: "manifest.json", counters: "aot"}
 
 // Build returns a runner binary for sim's (spec, buildset) pair, generating
-// and compiling it on a cache miss. The cache key covers everything that
-// determines the binary: the generated source, the static harness, go.mod,
-// the toolchain version, and the protocol ABI tag. Cached binaries are
-// verified against their manifest hash before reuse; corruption triggers a
-// rebuild, never silent use. Concurrent calls for one key build exactly
-// once per process.
+// and compiling it on a cache miss. The runner builds inside this module,
+// so its source must be on disk (ErrNoSource otherwise). The cache key
+// covers everything that determines the binary: the generated source, the
+// static harness, the source of the module packages they link, the
+// toolchain, and the protocol ABI tag. Cached binaries are verified against
+// their manifest hash before reuse; corruption triggers a rebuild, never
+// silent use. Concurrent calls for one key build exactly once per process.
 func Build(sim *core.Sim, conv core.RunnerConv, cacheDir string, reg *obs.Registry) (*BuildResult, error) {
 	return build(binaryArtifact, sim, conv, cacheDir, reg)
 }
@@ -167,11 +270,19 @@ func build(a *artifact, sim *core.Sim, conv core.RunnerConv, cacheDir string, re
 	if err != nil {
 		return nil, err
 	}
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		return nil, ErrNoToolchain
+	}
+	mod, err := moduleSource(gobin)
+	if err != nil {
+		return nil, err
+	}
 	src, err := sim.EmitRunner(conv)
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey(tc, src)
+	key := cacheKey(tc, mod.deps, src)
 	entryDir := filepath.Join(cacheDir, key[:16])
 	flKey := filepath.Join(entryDir, a.file)
 
@@ -185,7 +296,7 @@ func build(a *artifact, sim *core.Sim, conv core.RunnerConv, cacheDir string, re
 	buildInflight[flKey] = fl
 	buildMu.Unlock()
 
-	fl.res, fl.err = buildLocked(a, sim, src, key, cacheDir, entryDir, tc, reg)
+	fl.res, fl.err = buildLocked(a, sim, src, key, cacheDir, entryDir, gobin, mod.root, tc, reg)
 	buildMu.Lock()
 	delete(buildInflight, flKey)
 	buildMu.Unlock()
@@ -194,18 +305,18 @@ func build(a *artifact, sim *core.Sim, conv core.RunnerConv, cacheDir string, re
 }
 
 // cacheKey covers everything that determines the binary: the ABI tag, the
-// toolchain version and target platform, go.mod, the static harness, and
-// the generated source.
-func cacheKey(tc toolchain, src string) string {
+// toolchain version and target platform, the digest of the module packages
+// the runner links, the static harness, and the generated source.
+func cacheKey(tc toolchain, deps, src string) string {
 	h := sha256.New()
-	for _, part := range []string{abiVersion, tc.Version, tc.OS, tc.Arch, runnerGoMod, runnerHarness, src} {
+	for _, part := range []string{abiVersion, tc.Version, tc.OS, tc.Arch, deps, runnerHarness, src} {
 		h.Write([]byte(part))
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func buildLocked(a *artifact, sim *core.Sim, src, key, cacheDir, entryDir string, tc toolchain, reg *obs.Registry) (*BuildResult, error) {
+func buildLocked(a *artifact, sim *core.Sim, src, key, cacheDir, entryDir, gobin, root string, tc toolchain, reg *obs.Registry) (*BuildResult, error) {
 	artPath := filepath.Join(entryDir, a.file)
 	manPath := filepath.Join(entryDir, a.manifest)
 
@@ -225,27 +336,31 @@ func buildLocked(a *artifact, sim *core.Sim, src, key, cacheDir, entryDir string
 		return nil, fmt.Errorf("aot: creating build dir: %w", err)
 	}
 	defer os.RemoveAll(tmp)
-	goMod := runnerGoMod
-	if a.uniqueModule {
-		goMod = "module aotrunner_" + key[:16] + "\n\ngo 1.24\n"
-	}
-	files := map[string]string{
-		"gen.go":     src,
-		"harness.go": runnerHarness,
-		"go.mod":     goMod,
-	}
-	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(tmp, name), []byte(content), 0o644); err != nil {
+	// The runner's package directory exists only in the overlay: the go
+	// command reads gen.go and harness.go there from tmp. Its import path is
+	// unique to the key, which a plugin needs (see pluginArtifact), and
+	// fixed for the key, so the go build cache serves a rebuild.
+	pkgDir := filepath.Join("internal", "aot", "gen", "r"+key[:16])
+	overlay := map[string]map[string]string{"Replace": {}}
+	for name, content := range map[string]string{"gen.go": src, "harness.go": runnerHarness} {
+		p := filepath.Join(tmp, name)
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
 			return nil, fmt.Errorf("aot: writing %s: %w", name, err)
 		}
+		overlay["Replace"][filepath.Join(root, pkgDir, name)] = p
 	}
-	gobin, err := exec.LookPath("go")
+	overlayPath := filepath.Join(tmp, "overlay.json")
+	data, err := json.Marshal(overlay)
+	if err == nil {
+		err = os.WriteFile(overlayPath, data, 0o644)
+	}
 	if err != nil {
-		return nil, ErrNoToolchain
+		return nil, fmt.Errorf("aot: writing overlay: %w", err)
 	}
 	tmpArt := filepath.Join(tmp, a.file)
-	cmd := exec.Command(gobin, append(append([]string{"build"}, a.flags...), "-o", tmpArt, ".")...)
-	cmd.Dir = tmp
+	args := append(append([]string{"build", "-overlay", overlayPath}, a.flags...), "-o", tmpArt, "./"+filepath.ToSlash(pkgDir))
+	cmd := exec.Command(gobin, args...)
+	cmd.Dir = root
 	if out, err := cmd.CombinedOutput(); err != nil {
 		err = fmt.Errorf("aot: go build of generated %s (%s/%s) failed: %w\n%s",
 			a.file, sim.Spec.Name, sim.BS.Name, err, out)
@@ -256,7 +371,7 @@ func buildLocked(a *artifact, sim *core.Sim, src, key, cacheDir, entryDir string
 	}
 	count(reg, a.counters+".build")
 
-	data, err := os.ReadFile(tmpArt)
+	data, err = os.ReadFile(tmpArt)
 	if err != nil {
 		return nil, fmt.Errorf("aot: reading built %s: %w", a.file, err)
 	}

@@ -31,17 +31,19 @@ import (
 var ErrNoPlugin = errors.New("aot: plugin transport not available")
 
 // pluginArtifact is the runner built as a Go plugin, beside the subprocess
-// binary in the same cache entry. Its module path is unique per cache key:
-// the plugin's lookup path and its dynamic symbol prefix both derive from
-// the main package's import path at compile time, and plugin.Open refuses
-// two plugins sharing a path, so distinct (spec, buildset) runners must
-// differ at the module level. (Overriding -pluginpath at link time only
-// renames the lookup path, not the compiled symbols, which breaks dlsym.)
-// The cgo requirement is inherited from the environment on purpose: under
-// CGO_ENABLED=0, or on a host without a C toolchain, the build fails with
-// ErrNoPlugin.
+// binary in the same cache entry. Its package path is unique per cache key
+// (build.go): the plugin's lookup path and its dynamic symbol prefix both
+// derive from the main package's import path at compile time, and
+// plugin.Open refuses two plugins sharing a path, so distinct
+// (spec, buildset) runners must differ there. (Overriding -pluginpath at
+// link time only renames the lookup path, not the compiled symbols, which
+// breaks dlsym.) The plugin shares the substrate packages (mach, sysemu,
+// lis, isa) with its host, so plugin.Open also refuses it unless both were
+// built from the same source with the same flags. The cgo requirement is
+// inherited from the environment on purpose: under CGO_ENABLED=0, or on a
+// host without a C toolchain, the build fails with ErrNoPlugin.
 var pluginArtifact = &artifact{file: "runner.so", manifest: "plugin-manifest.json", counters: "aot.plugin",
-	flags: []string{"-buildmode=plugin"}, uniqueModule: true, unavailable: ErrNoPlugin}
+	flags: []string{"-buildmode=plugin"}, unavailable: ErrNoPlugin}
 
 // BuildPlugin compiles the runner for sim's (spec, buildset) pair as a Go
 // plugin, sharing Build's cache: the .so and its own manifest live next to
@@ -51,8 +53,8 @@ func BuildPlugin(sim *core.Sim, conv core.RunnerConv, cacheDir string, reg *obs.
 	return build(pluginArtifact, sim, conv, cacheDir, reg)
 }
 
-// pluginExports are the symbols a runner plugin provides; builtin types
-// only, so host and plugin share no packages.
+// pluginExports are the symbols a runner plugin provides, of builtin types
+// only, so the host needs none of the runner's own types.
 type pluginExports struct {
 	hello func() []byte
 	init  func([]byte) string

@@ -2,11 +2,13 @@ package aot
 
 // runnerHarness is the static half of a generated runner binary. It is
 // compiled as package main next to the source EmitRunner produces for one
-// (spec, buildset) pair, and supplies everything the generated instruction
-// functions reference: the paged memory model (byte-for-byte the semantics
-// of internal/mach), the register spaces, the OS emulation of
-// internal/sysemu, the pure-builtin helpers of lis.EvalPureBuiltin, the
-// interface drivers (One/Block per-call and Step per-entrypoint, mirroring
+// (spec, buildset) pair, as a package of this module (see build.go), and
+// runs the generated instruction functions on the interpreter's substrate:
+// a mach.Machine holds memory and registers, a sysemu.Emulator serves OS
+// entry, and the generated code calls lis for builtins and guarded
+// operators. The harness adds only what is runner-specific: the helpers
+// that map mach faults into the emitter's fault protocol, the interface
+// drivers (One/Block superblocks and Step per-entrypoint, mirroring
 // core.Exec), and the length-prefixed frame protocol the host speaks.
 //
 // The driver loops are transcriptions of the closure engine's observable
@@ -16,7 +18,7 @@ package aot
 // everything at entrypoint 0 and hidden fields at later entrypoints), and
 // the no-retire-on-fault rule live here. A run reports what the host can
 // compare with the interpreter: the record stream and the final
-// architectural state. The runner keeps no undo journal (stores write
+// architectural state. The machine's journal stays off (stores write
 // through), so a _spec buildset runs here without rollback support.
 const runnerHarness = `package main
 
@@ -25,235 +27,60 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"time"
+
+	"singlespec/internal/isa"
+	"singlespec/internal/mach"
+	"singlespec/internal/sysemu"
 )
 
-// ---- memory (mirrors internal/mach/mem.go) ----
-
-const pageBits = 16
-const pageSize = 1 << pageBits
-const nullPage = 4096
-
-// mpage carries the code mark next to the data so the store path can bump
-// the code epoch without a second map probe (mach.Memory keeps the same
-// page-local flag).
-type mpage struct {
-	data [pageSize]byte
-	code bool
-}
+// ---- machine ----
 
 var (
-	memPages = map[uint64]*mpage{}
-	lastPN   = ^uint64(0)
-	lastPg   *mpage
+	mc  *mach.Machine
+	mem *mach.Memory // mc.Mem, one load closer for the load and store paths
+	emu *sysemu.Emulator
+	// regs[s] is mc.Spaces[s].Vals, which generated code indexes directly
+	// for a constant register operand.
+	regs [][]uint64
 )
 
-func pageFor(addr uint64) *mpage {
-	pn := addr >> pageBits
-	if pn == lastPN {
-		return lastPg
-	}
-	p := memPages[pn]
-	if p == nil {
-		p = new(mpage)
-		memPages[pn] = p
-	}
-	lastPN, lastPg = pn, p
-	return p
-}
-
-func memGet(b []byte) uint64 {
-	var v uint64
+// newMachine replaces the machine and its OS emulation with fresh ones:
+// empty memory, zeroed registers, the break at the heap base, no stdin and
+// no output.
+func newMachine() {
+	order := mach.LittleEndian
 	if gBigEndian {
-		for i := 0; i < len(b); i++ {
-			v = v<<8 | uint64(b[i])
-		}
-	} else {
-		for i := len(b) - 1; i >= 0; i-- {
-			v = v<<8 | uint64(b[i])
-		}
+		order = mach.BigEndian
 	}
-	return v
+	defs := make([]mach.SpaceDef, len(gSpaceCount))
+	for i := range defs {
+		defs[i] = mach.SpaceDef{Name: gSpaceName[i], Count: gSpaceCount[i], ZeroReg: gSpaceZero[i]}
+	}
+	mem = mach.NewMemory(order)
+	mc = mach.NewMachine(mem, defs)
+	regs = make([][]uint64, len(mc.Spaces))
+	for i, sp := range mc.Spaces {
+		regs[i] = sp.Vals
+	}
+	emu = sysemu.New(isa.Convention{SyscallNum: gConvSyscallNum, Args: gConvArgs, Ret: gConvRet,
+		Stack: gConvStack, HeapBase: gHeapBase, StackTop: gStackTop})
 }
 
-func memPut(b []byte, v uint64) {
-	if gBigEndian {
-		for i := len(b) - 1; i >= 0; i-- {
-			b[i] = byte(v)
-			v >>= 8
-		}
-	} else {
-		for i := 0; i < len(b); i++ {
-			b[i] = byte(v)
-			v >>= 8
-		}
-	}
-}
-
-func memLoad(addr uint64, size int) (uint64, uint8) {
-	if addr < nullPage {
-		return 0, 1
-	}
-	off := addr & (pageSize - 1)
-	if off+uint64(size) <= pageSize {
-		p := pageFor(addr)
-		return memGet(p.data[off : off+uint64(size)]), 0
-	}
-	var buf [8]byte
-	for i := 0; i < size; i++ {
-		a := addr + uint64(i)
-		buf[i] = pageFor(a).data[a&(pageSize-1)]
-	}
-	return memGet(buf[:size]), 0
-}
-
-func memStore(addr, val uint64, size int) uint8 {
-	if addr < nullPage {
-		return 1
-	}
-	off := addr & (pageSize - 1)
-	if off+uint64(size) <= pageSize {
-		p := pageFor(addr)
-		if p.code {
-			codeEpoch++
-		}
-		memPut(p.data[off:off+uint64(size)], val)
-		return 0
-	}
-	var buf [8]byte
-	memPut(buf[:size], val)
-	bumped := false
-	for i := 0; i < size; i++ {
-		a := addr + uint64(i)
-		p := pageFor(a)
-		if p.code && !bumped {
-			codeEpoch++
-			bumped = true
-		}
-		p.data[a&(pageSize-1)] = buf[i]
-	}
-	return 0
-}
-
-// memWriteBytes and memReadBytes bypass the null-page check, like the
-// loader/emulator paths mach.Memory.WriteBytes/ReadBytes serve. Writes into
-// code-marked pages bump the epoch like stores do (the interpreter's
-// syscall-read path invalidates translations the same way).
-func memWriteBytes(addr uint64, data []byte) {
-	bumped := false
-	for len(data) > 0 {
-		off := addr & (pageSize - 1)
-		n := uint64(pageSize) - off
-		if uint64(len(data)) < n {
-			n = uint64(len(data))
-		}
-		p := pageFor(addr)
-		if p.code && !bumped {
-			codeEpoch++
-			bumped = true
-		}
-		copy(p.data[off:off+n], data[:n])
-		addr += n
-		data = data[n:]
-	}
-}
-
-func memReadBytes(addr uint64, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		a := addr + uint64(i)
-		out[i] = pageFor(a).data[a&(pageSize-1)]
-	}
-	return out
-}
-
-// ---- register spaces ----
-
-var regs [][]uint64
-
-func spRead(sp, i int) uint64 {
-	if i == gSpaceZero[sp] {
-		return 0
-	}
-	return regs[sp][i]
-}
-
-func spWrite(sp, i int, v uint64) {
-	if i == gSpaceZero[sp] {
-		return
-	}
-	regs[sp][i] = v
-}
-
-// ---- machine state ----
-
-var (
-	pc       uint64
-	instret  uint64
-	halted   bool
-	exitCode int64
-)
-
-// ---- OS emulation (mirrors internal/sysemu) ----
-
-var (
-	brk      uint64 = gHeapBase
-	ticks    uint64
-	stdinBuf []byte
-	stdout   []byte
-)
+func spRead(sp, i int) uint64     { return mc.Spaces[sp].Read(i) }
+func spWrite(sp, i int, v uint64) { mc.Spaces[sp].Write(i, v) }
 
 func doSyscall() {
-	num := int(spRead(0, gConvSyscallNum))
-	switch num {
-	case 1: // exit
-		halted = true
-		exitCode = int64(spRead(0, gConvArgs[0]))
-		// No return-value write: the program is gone.
-	case 2: // write
-		var ret uint64
-		buf := spRead(0, gConvArgs[1])
-		n := spRead(0, gConvArgs[2])
-		if n > 1<<20 {
-			ret = ^uint64(0)
-		} else {
-			stdout = append(stdout, memReadBytes(buf, int(n))...)
-			ret = n
-		}
-		spWrite(0, gConvRet, ret)
-	case 3: // read
-		buf := spRead(0, gConvArgs[1])
-		n := int(spRead(0, gConvArgs[2]))
-		if n > len(stdinBuf) {
-			n = len(stdinBuf)
-		}
-		if n > 0 {
-			memWriteBytes(buf, stdinBuf[:n])
-			stdinBuf = stdinBuf[n:]
-		}
-		spWrite(0, gConvRet, uint64(n))
-	case 4: // brk
-		if want := spRead(0, gConvArgs[0]); want != 0 {
-			brk = want
-		}
-		spWrite(0, gConvRet, brk)
-	case 5: // time
-		ticks++
-		spWrite(0, gConvRet, ticks)
-	default:
-		spWrite(0, gConvRet, ^uint64(0))
-	}
-	if halted {
-		diFault = 3
+	emu.Handle(mc)
+	if mc.Halted {
+		diFault = uint8(mach.FaultHalt)
 	}
 }
 
 func doHalt(code uint64) {
-	halted = true
-	exitCode = int64(code)
-	diFault = 3
+	mc.Halt(int(code))
+	diFault = uint8(mach.FaultHalt)
 }
 
 // ---- helpers referenced by generated code ----
@@ -272,147 +99,26 @@ func tern(c, a, b uint64) uint64 {
 	return b
 }
 
-func udiv(a, b uint64) uint64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-func urem(a, b uint64) uint64 {
-	if b == 0 {
-		return 0
-	}
-	return a % b
-}
-
-func shl(a, b uint64) uint64 {
-	if b >= 64 {
-		return 0
-	}
-	return a << b
-}
-
-func shr(a, b uint64) uint64 {
-	if b >= 64 {
-		return 0
-	}
-	return a >> b
-}
-
 func ldU(addr uint64, size int) uint64 {
-	v, f := memLoad(addr, size)
-	if f != 0 {
-		diFault = f
+	v, f := mem.Load(addr, size)
+	if f != mach.FaultNone {
+		diFault = uint8(f)
 		return 0
 	}
 	return v
 }
 
 func ldS(addr uint64, size int) uint64 {
-	v, f := memLoad(addr, size)
-	if f != 0 {
-		diFault = f
-		return 0
-	}
+	v := ldU(addr, size)
 	sh := uint(64 - 8*size)
 	return uint64(int64(v<<sh) >> sh)
 }
 
 func stV(addr, val uint64, size int) {
-	if f := memStore(addr, val, size); f != 0 {
-		diFault = f
+	if f := mem.Store(addr, val, size); f != mach.FaultNone {
+		diFault = uint8(f)
 	}
 }
-
-// Pure builtins, transcribed from lis.EvalPureBuiltin.
-
-func bi_sext8(a uint64) uint64  { return uint64(int64(int8(a))) }
-func bi_sext16(a uint64) uint64 { return uint64(int64(int16(a))) }
-func bi_sext32(a uint64) uint64 { return uint64(int64(int32(a))) }
-
-func bi_sext(a, w uint64) uint64 {
-	if w == 0 || w >= 64 {
-		return a
-	}
-	x := a & (1<<w - 1)
-	if x&(1<<(w-1)) != 0 {
-		x |= ^uint64(0) << w
-	}
-	return x
-}
-
-func bi_trunc(a, w uint64) uint64 {
-	if w >= 64 {
-		return a
-	}
-	return a & (1<<w - 1)
-}
-
-func bi_bits(a, hi, lo uint64) uint64 {
-	if hi >= 64 || lo > hi {
-		return 0
-	}
-	return (a >> lo) & (1<<(hi-lo+1) - 1)
-}
-
-func bi_asr(a, s uint64) uint64 {
-	if s >= 64 {
-		s = 63
-	}
-	return uint64(int64(a) >> s)
-}
-
-func bi_lts(a, b uint64) uint64 { return b2u(int64(a) < int64(b)) }
-func bi_les(a, b uint64) uint64 { return b2u(int64(a) <= int64(b)) }
-func bi_gts(a, b uint64) uint64 { return b2u(int64(a) > int64(b)) }
-func bi_ges(a, b uint64) uint64 { return b2u(int64(a) >= int64(b)) }
-
-func bi_sdiv(a, b uint64) uint64 {
-	if b == 0 {
-		return 0
-	}
-	if int64(a) == -1<<63 && int64(b) == -1 {
-		return a
-	}
-	return uint64(int64(a) / int64(b))
-}
-
-func bi_srem(a, b uint64) uint64 {
-	if b == 0 {
-		return 0
-	}
-	if int64(a) == -1<<63 && int64(b) == -1 {
-		return 0
-	}
-	return uint64(int64(a) % int64(b))
-}
-
-func bi_mulhu(a, b uint64) uint64 {
-	hi, _ := bits.Mul64(a, b)
-	return hi
-}
-
-func bi_mulhs(a, b uint64) uint64 {
-	hi, _ := bits.Mul64(a, b)
-	if int64(a) < 0 {
-		hi -= b
-	}
-	if int64(b) < 0 {
-		hi -= a
-	}
-	return hi
-}
-
-func bi_rotl32(a, s uint64) uint64 { return uint64(bits.RotateLeft32(uint32(a), int(s&31))) }
-func bi_rotr32(a, s uint64) uint64 { return uint64(bits.RotateLeft32(uint32(a), -int(s&31))) }
-func bi_rotl64(a, s uint64) uint64 { return bits.RotateLeft64(a, int(s&63)) }
-func bi_rotr64(a, s uint64) uint64 { return bits.RotateLeft64(a, -int(s&63)) }
-func bi_clz32(a uint64) uint64     { return uint64(bits.LeadingZeros32(uint32(a))) }
-func bi_clz64(a uint64) uint64     { return uint64(bits.LeadingZeros64(a)) }
-func bi_ctz32(a uint64) uint64     { return uint64(bits.TrailingZeros32(uint32(a))) }
-func bi_ctz64(a uint64) uint64     { return uint64(bits.TrailingZeros64(a)) }
-func bi_popcnt(a uint64) uint64    { return uint64(bits.OnesCount64(a)) }
 
 // ---- superblocks ----
 //
@@ -420,9 +126,11 @@ func bi_popcnt(a uint64) uint64    { return uint64(bits.OnesCount64(a)) }
 // decoded instructions (ended by a control transfer, an undecodable or
 // faulting fetch, the page boundary, or gMaxBlockLen) dispatched slot to
 // slot with no per-instruction fetch/decode. Each block records its observed
-// successor so the common path jumps block to block directly; the links and
-// the cached decodes are severed by code-store epoch bumps, mirroring the
-// interpreter's chain links.
+// successor so the common path jumps block to block directly. A block is
+// current while the memory's code-store epoch (mach.Memory.CodeGen) equals
+// the one it was validated at, so a store into a code page severs the links
+// and revalidates the cached decodes, mirroring the interpreter's chain
+// links.
 
 type sbSlot struct {
 	pc   uint64
@@ -439,29 +147,22 @@ type sblock struct {
 	next    *sblock
 }
 
-var (
-	sblocks   = map[uint64]*sblock{}
-	codeEpoch uint64
-)
-
-func markCode(addr uint64) {
-	pageFor(addr).code = true
-}
+var sblocks = map[uint64]*sblock{}
 
 // buildSB decodes the superblock starting at startPC, or returns nil when
 // the first instruction does not translate (fetch fault, undecodable, or a
 // page-straddling fetch, which stays on the dynamic fallback path like the
 // interpreter's uncached straddles).
 func buildSB(startPC uint64) *sblock {
-	pageEnd := (startPC | (pageSize - 1)) + 1
+	pageEnd := (startPC | uint64(mach.PageSize()-1)) + 1
 	sb := &sblock{startPC: startPC}
 	pcb := startPC
 	for len(sb.slots) < gMaxBlockLen {
 		if pcb+gInstrSize > pageEnd {
 			break
 		}
-		v, f := memLoad(pcb, int(gInstrSize))
-		if f != 0 {
+		v, f := mem.Load(pcb, int(gInstrSize))
+		if f != mach.FaultNone {
 			break
 		}
 		bits := uint32(v)
@@ -478,8 +179,8 @@ func buildSB(startPC uint64) *sblock {
 	if len(sb.slots) == 0 {
 		return nil
 	}
-	markCode(startPC)
-	sb.epoch = codeEpoch
+	mem.MarkCode(startPC)
+	sb.epoch = mem.CodeGen()
 	sblocks[startPC] = sb
 	return sb
 }
@@ -491,16 +192,16 @@ func lookupSB(pcv uint64) *sblock {
 	if sb == nil {
 		return buildSB(pcv)
 	}
-	if sb.epoch != codeEpoch {
+	if sb.epoch != mem.CodeGen() {
 		for si := range sb.slots {
 			sl := &sb.slots[si]
-			v, f := memLoad(sl.pc, int(gInstrSize))
-			if f != 0 || uint32(v) != sl.bits {
+			v, f := mem.Load(sl.pc, int(gInstrSize))
+			if f != mach.FaultNone || uint32(v) != sl.bits {
 				delete(sblocks, pcv)
 				return buildSB(pcv)
 			}
 		}
-		sb.epoch = codeEpoch
+		sb.epoch = mem.CodeGen()
 	}
 	return sb
 }
@@ -512,13 +213,14 @@ func lookupSB(pcv uint64) *sblock {
 // are honored, faulting attempts do not retire, and records are emitted per
 // instruction in retirement order.
 func runSuper(maxInstr uint64) {
+	m := mc
 	var pred *sblock
-	for !halted && instret < maxInstr {
+	for !m.Halted && m.Instret < maxInstr {
 		var sb *sblock
-		if pred != nil && pred.startPC == pc && pred.epoch == codeEpoch {
+		if pred != nil && pred.startPC == m.PC && pred.epoch == mem.CodeGen() {
 			sb = pred
 		} else {
-			sb = lookupSB(pc)
+			sb = lookupSB(m.PC)
 		}
 		pred = nil
 		if sb == nil {
@@ -527,13 +229,13 @@ func runSuper(maxInstr uint64) {
 			if diFault != 0 {
 				break
 			}
-			pc = diNextPC
-			instret++
+			m.PC = diNextPC
+			m.Instret++
 			continue
 		}
 		full := true
 		for si := range sb.slots {
-			if instret >= maxInstr {
+			if m.Instret >= maxInstr {
 				full = false
 				break
 			}
@@ -551,21 +253,21 @@ func runSuper(maxInstr uint64) {
 			}
 			if diFault != 0 {
 				full = false
-				pc = sl.pc
+				m.PC = sl.pc
 				break
 			}
-			pc = diNextPC
-			instret++
-			if si+1 < len(sb.slots) && pc != sb.slots[si+1].pc {
+			m.PC = diNextPC
+			m.Instret++
+			if si+1 < len(sb.slots) && m.PC != sb.slots[si+1].pc {
 				// A non-CTI slot redirected next_pc: leave the block.
 				full = false
 				break
 			}
 		}
 		if full {
-			if sb.next != nil && sb.next.startPC == pc && sb.next.epoch == codeEpoch {
+			if sb.next != nil && sb.next.startPC == m.PC && sb.next.epoch == mem.CodeGen() {
 				pred = sb.next
-			} else if nb := lookupSB(pc); nb != nil {
+			} else if nb := lookupSB(m.PC); nb != nil {
 				sb.next = nb
 				pred = nb
 			}
@@ -579,9 +281,9 @@ func runSuper(maxInstr uint64) {
 // ---- interface drivers ----
 
 func fetch() {
-	v, f := memLoad(diPhysPC, int(gInstrSize))
-	if f != 0 {
-		diFault = f
+	v, f := mem.Load(diPhysPC, int(gInstrSize))
+	if f != mach.FaultNone {
+		diFault = uint8(f)
 		return
 	}
 	diBits = uint32(v)
@@ -591,9 +293,9 @@ func fetch() {
 // a single call covering every pipeline step. Field storage is deliberately
 // not cleared — the interpreter's frame persists across instructions.
 func attemptOne() {
-	diPC = pc
-	diPhysPC = pc
-	diNextPC = pc + gInstrSize
+	diPC = mc.PC
+	diPhysPC = mc.PC
+	diNextPC = mc.PC + gInstrSize
 	diBits = 0
 	diID = gUndecodedID
 	diFault = 0
@@ -605,7 +307,7 @@ func attemptOne() {
 			gInstrFns[id][0]()
 			return
 		}
-		diFault = 2 // illegal
+		diFault = uint8(mach.FaultIllegal)
 	}
 	gFaultFns[0]()
 }
@@ -614,9 +316,9 @@ func attemptOne() {
 // one call per entrypoint, the whole frame cleared at entrypoint 0 and
 // hidden fields cleared at every later boundary (core.Exec.importRec).
 func attemptStep() {
-	diPC = pc
-	diPhysPC = pc
-	diNextPC = pc + gInstrSize
+	diPC = mc.PC
+	diPhysPC = mc.PC
+	diNextPC = mc.PC + gInstrSize
 	diBits = 0
 	diID = gUndecodedID
 	diFault = 0
@@ -633,7 +335,7 @@ func attemptStep() {
 			if id := gDecode(diBits); id >= 0 {
 				diID = uint16(id)
 			} else {
-				diFault = 2
+				diFault = uint8(mach.FaultIllegal)
 			}
 		}
 		if diID != gUndecodedID {
@@ -651,13 +353,13 @@ func runProgram(maxInstr uint64, wantRecs bool) {
 	stepMode := gNumEps > 1
 	emitting = wantRecs && (stepMode || !gModeBlock || gEmitRecs)
 	if stepMode {
-		for !halted && instret < maxInstr {
+		for !mc.Halted && mc.Instret < maxInstr {
 			attemptStep()
 			if diFault != 0 {
 				break
 			}
-			pc = diNextPC
-			instret++
+			mc.PC = diNextPC
+			mc.Instret++
 		}
 	} else {
 		runSuper(maxInstr)
@@ -815,51 +517,36 @@ func handleInit(p []byte) {
 	d := newDec(p)
 	progEntry = d.u64()
 	nSegs := d.u32()
-	progSegs = nil
 	for i := uint32(0); i < nSegs && d.err == nil; i++ {
 		name := string(d.bytes(int(d.u16())))
 		addr := d.u64()
 		data := append([]byte(nil), d.bytes(int(d.u32()))...)
 		progSegs = append(progSegs, progSeg{name, addr, data})
 	}
-	stdinBuf = append([]byte(nil), d.bytes(int(d.u32()))...)
+	emu.Stdin = append([]byte(nil), d.bytes(int(d.u32()))...)
 	if d.err != nil {
 		fatalf("malformed init frame: %v", d.err)
 	}
 	for _, sg := range progSegs {
-		memWriteBytes(sg.addr, sg.data)
+		mem.WriteBytes(sg.addr, sg.data)
 	}
-	pc = progEntry
+	mc.PC = progEntry
 }
 
-// hardReset restores process-start machine state. In the subprocess it runs
-// once per Init as a no-op refresh; through the plugin path it is what makes
-// a cached handle reusable (plugin.Open loads one copy per process, so
-// successive sessions share these globals).
+// hardReset restores process-start state: a fresh machine and emulator, no
+// superblocks, no program and cleared working state. In the subprocess it
+// runs once per Init; through the plugin path it is what makes a cached
+// handle reusable (plugin.Open loads one copy per process, so successive
+// sessions share these globals).
 func hardReset() {
-	memPages = map[uint64]*mpage{}
-	lastPN, lastPg = ^uint64(0), nil
+	newMachine()
 	sblocks = map[uint64]*sblock{}
-	codeEpoch = 0
-	for _, r := range regs {
-		for i := range r {
-			r[i] = 0
-		}
-	}
-	pc = 0
-	instret = 0
-	halted = false
-	exitCode = 0
 	diPC, diPhysPC, diNextPC = 0, 0, 0
 	diBits = 0
 	diID = gUndecodedID
 	diFault = 0
 	diNullify = false
 	gClearFields()
-	brk = gHeapBase
-	ticks = 0
-	stdinBuf = nil
-	stdout = nil
 	recBuf = recBuf[:5]
 	recCount = 0
 	progSegs = nil
@@ -868,26 +555,24 @@ func hardReset() {
 
 // reset mirrors the host-side expt.Runner.reset: zero the register file,
 // clear halt state and counters, reinstall the stack pointer, and reload
-// the data segments. Memory pages, brk, ticks, and remaining stdin persist,
-// as they do across runs of one interpreter cell. Cached superblocks also
-// persist.
+// the data segments. Memory, brk, ticks and remaining stdin persist, as
+// they do across runs of one interpreter cell; stdout does not. Cached
+// superblocks also persist.
 func reset() {
 	for _, r := range regs {
-		for i := range r {
-			r[i] = 0
-		}
+		clear(r)
 	}
-	halted = false
-	exitCode = 0
-	instret = 0
-	stdout = stdout[:0]
+	mc.Halted = false
+	mc.ExitCode = 0
+	mc.Instret = 0
+	emu.Stdout.Reset()
 	spWrite(0, gConvStack, gStackTop)
 	for _, sg := range progSegs {
 		if sg.name != ".text" {
-			memWriteBytes(sg.addr, sg.data)
+			mem.WriteBytes(sg.addr, sg.data)
 		}
 	}
-	pc = progEntry
+	mc.PC = progEntry
 }
 
 func handleRun(p []byte) {
@@ -909,15 +594,15 @@ func handleRun(p []byte) {
 func sendFinal(resultAddr, elapsedNs uint64) {
 	var resultWord uint32
 	if resultAddr != 0 {
-		if v, f := memLoad(resultAddr, 4); f == 0 {
+		if v, f := mem.Load(resultAddr, 4); f == mach.FaultNone {
 			resultWord = uint32(v)
 		}
 	}
-	p := []byte{'F', b2u8(halted)}
-	p = append8(p, uint64(exitCode))
+	p := []byte{'F', b2u8(mc.Halted)}
+	p = append8(p, uint64(mc.ExitCode))
 	p = append(p, diFault)
-	p = append8(p, pc)
-	p = append8(p, instret)
+	p = append8(p, mc.PC)
+	p = append8(p, mc.Instret)
 	p = append8(p, elapsedNs)
 	p = append4(p, resultWord)
 	p = append4(p, uint32(len(regs)))
@@ -927,8 +612,9 @@ func sendFinal(resultAddr, elapsedNs uint64) {
 			p = append8(p, v)
 		}
 	}
-	p = append4(p, uint32(len(stdout)))
-	p = append(p, stdout...)
+	out := emu.Stdout.Bytes()
+	p = append4(p, uint32(len(out)))
+	p = append(p, out...)
 	writeFrame(p)
 }
 
@@ -1006,20 +692,13 @@ func (d *dec) bytes(n int) []byte {
 // When the runner is built with -buildmode=plugin the host loads it in
 // process (aot.LoadPlugin) and drives these exports with the same payloads
 // the pipe protocol carries, minus the length prefixes. Symbol types stick
-// to builtins so host and plugin need no shared package.
-
-func ensureRegs() {
-	if regs == nil {
-		regs = make([][]uint64, len(gSpaceCount))
-		for i, c := range gSpaceCount {
-			regs[i] = make([]uint64, c)
-		}
-	}
-}
+// to builtins, so the host needs none of the runner's own types.
 
 func pluginEnter() {
 	pluginMode = true
-	ensureRegs()
+	if mc == nil {
+		newMachine()
+	}
 	pluginFrames = nil
 }
 
@@ -1062,11 +741,7 @@ func PluginRun(p []byte) (frames [][]byte, errs string) {
 }
 
 func main() {
-	regs = make([][]uint64, len(gSpaceCount))
-	for i, c := range gSpaceCount {
-		regs[i] = make([]uint64, c)
-	}
-	_ = gSpaceName
+	newMachine()
 	sendHello()
 	if err := protoOut.Flush(); err != nil {
 		fatalf("writing hello: %v", err)

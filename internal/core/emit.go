@@ -23,10 +23,13 @@ import (
 // Control flow mirrors Exec.runSegs exactly: each step segment is preceded
 // by a boundary that diverts a pending fault to the exception segment (or
 // out of the call) and stops a nullified instruction, and fault-capable
-// statements are followed by a guard that jumps to the next boundary. The
-// helpers referenced by emitted code (b2u, tern, udiv, ldU, spRead, ...)
-// are supplied by the AOT runner harness (internal/aot); EmitSpecialized
-// output is also golden-tested as text.
+// statements are followed by a guard that jumps to the next boundary. Pure
+// builtins and the guarded operators (division, remainder, shifts by a
+// non-constant amount) are calls into lis, the functions EvalPureBuiltin and
+// EvalBinaryOp evaluate with; the other helpers emitted code references
+// (b2u, tern, ldU, spRead, doSyscall, ...) come from the AOT runner harness
+// (internal/aot), which runs on mach and sysemu like the interpreter.
+// EmitSpecialized output is also golden-tested as text.
 
 // RunnerConv is the ABI knowledge a generated runner needs beyond the spec:
 // where syscall arguments live and the program memory layout. It mirrors
@@ -646,7 +649,7 @@ func (e *emitter) exprStr(x lis.Expr) string {
 			for i, a := range x.Args {
 				args[i] = e.exprStr(a)
 			}
-			return fmt.Sprintf("bi_%s(%s)", b.Name, strings.Join(args, ", "))
+			return fmt.Sprintf("lis.%s(%s)", b.FuncName(), strings.Join(args, ", "))
 		case lis.BuiltinLoad:
 			fn := "ldU"
 			if b.Signed {
@@ -674,19 +677,19 @@ func (e *emitter) binaryStr(x *lis.BinaryExpr) string {
 	case lis.OpXor:
 		return "(" + l + " ^ " + r + ")"
 	case lis.OpDiv:
-		return "udiv(" + l + ", " + r + ")"
+		return "lis.Div(" + l + ", " + r + ")"
 	case lis.OpRem:
-		return "urem(" + l + ", " + r + ")"
+		return "lis.Rem(" + l + ", " + r + ")"
 	case lis.OpShl:
 		if k, ok := e.exprConst(x.R); ok && k < 64 {
 			return fmt.Sprintf("(%s << %d)", l, k)
 		}
-		return "shl(" + l + ", " + r + ")"
+		return "lis.Shl(" + l + ", " + r + ")"
 	case lis.OpShr:
 		if k, ok := e.exprConst(x.R); ok && k < 64 {
 			return fmt.Sprintf("(%s >> %d)", l, k)
 		}
-		return "shr(" + l + ", " + r + ")"
+		return "lis.Shr(" + l + ", " + r + ")"
 	case lis.OpEq:
 		return "b2u(" + l + " == " + r + ")"
 	case lis.OpNe:
@@ -800,13 +803,14 @@ func sanitizeIdent(s string) string {
 
 // ---- full runner source ----
 
-// EmitRunner assembles the generated half of a standalone AOT runner for
-// this (spec, buildset) pair: constants describing the interface, the
-// decode table, working-state globals, the specialized instruction
-// functions, the pre-decode fault unit, and the dispatch tables. The static
-// harness half (memory, register spaces, OS emulation, the frame protocol,
-// and the helpers the generated code calls) lives in internal/aot and is
-// compiled into the same package main.
+// EmitRunner assembles the generated half of an AOT runner for this
+// (spec, buildset) pair: constants describing the interface, the decode
+// table, working-state globals, the specialized instruction functions, the
+// pre-decode fault unit, and the dispatch tables. The static harness half
+// (the interface drivers, the frame protocol, and the helpers the generated
+// code calls) lives in internal/aot and is compiled into the same package
+// main, inside this module, on the mach and sysemu substrate the
+// interpreter runs on.
 func (s *Sim) EmitRunner(rc RunnerConv) (string, error) {
 	spec := s.Spec
 	if len(spec.Instrs) == 0 {
@@ -829,6 +833,10 @@ func (s *Sim) EmitRunner(rc RunnerConv) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Code generated by singlespec for spec %q, buildset %q. DO NOT EDIT.\n", spec.Name, s.BS.Name)
 	b.WriteString("package main\n\n")
+	b.WriteString("import \"singlespec/internal/lis\"\n\n")
+	// Builtins and guarded operators are calls into lis; the blank use keeps
+	// the import for a spec none of whose live code calls one.
+	b.WriteString("var _ = lis.Div\n\n")
 
 	// Interface constants for the harness driver.
 	fmt.Fprintf(&b, "const (\n")

@@ -17,12 +17,12 @@ import (
 
 // AOT differential testing: the same seeded random programs the rotating
 // interpreter test replays (diffSeeds) are lowered to every ISA and
-// executed under both the closure interpreter and the generated standalone
-// runner binary. aot.DiffProgram compares what both backends produce, at
+// executed under both the closure interpreter and the generated runner
+// binary. aot.DiffProgram compares what both backends produce, at
 // retire granularity: the byte-identical visibility-record stream and the
 // complete final architectural state. Work units are an interpreter metric
-// and are not compared. The runners keep no undo journal, so agreement on a
-// _spec buildset covers runs without rollback only.
+// and are not compared. The runners leave their machine's journal off, so
+// agreement on a _spec buildset covers runs without rollback only.
 //
 // There are exactly twelve seeds and twelve standard buildsets, so seed i
 // runs under StdBuildsets[i]: across one test run every derived interface is
@@ -44,7 +44,8 @@ func TestMain(m *testing.M) {
 }
 
 // buildRunner returns the runner binary for sim from the shared cache,
-// skipping the test when no go toolchain is on PATH.
+// skipping the test when no go toolchain is on PATH or the module source
+// runners build in is missing.
 func buildRunner(t *testing.T, i *isa.ISA, sim *core.Sim) string {
 	t.Helper()
 	runnerCacheOnce.Do(func() {
@@ -57,8 +58,8 @@ func buildRunner(t *testing.T, i *isa.ISA, sim *core.Sim) string {
 		t.Fatal("creating shared runner cache failed")
 	}
 	b, err := aot.Build(sim, aot.RunnerConvFor(i.Conv), runnerCacheDir, nil)
-	if errors.Is(err, aot.ErrNoToolchain) {
-		t.Skip("skipping: go toolchain not available on PATH")
+	if errors.Is(err, aot.ErrNoToolchain) || errors.Is(err, aot.ErrNoSource) {
+		t.Skipf("skipping: %v", err)
 	}
 	if err != nil {
 		t.Fatalf("%s/%s: build: %v", i.Name, sim.BS.Name, err)

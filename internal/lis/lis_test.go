@@ -1,6 +1,8 @@
 package lis
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -418,6 +420,39 @@ func TestEvalPureBuiltinSemantics(t *testing.T) {
 		if got := EvalPureBuiltin(b(tc.name), tc.args); got != tc.want {
 			t.Errorf("%s%v = %#x, want %#x", tc.name, tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestPureBuiltinFuncNames pins the names the Go emitter writes: every pure
+// builtin has an exported function named FuncName, taking one argument per
+// builtin operand.
+func TestPureBuiltinFuncNames(t *testing.T) {
+	funcs := []any{Sext8, Sext16, Sext32, Sext, Trunc, Bits, Asr, Lts, Les, Gts, Ges,
+		Sdiv, Srem, Mulhu, Mulhs, Rotl32, Rotr32, Rotl64, Rotr64,
+		Clz32, Clz64, Ctz32, Ctz64, Popcnt}
+	byName := map[string]reflect.Value{}
+	for _, f := range funcs {
+		v := reflect.ValueOf(f)
+		full := runtime.FuncForPC(v.Pointer()).Name()
+		byName[full[strings.LastIndex(full, ".")+1:]] = v
+	}
+	pure := 0
+	for _, b := range Builtins {
+		if b.Kind != BuiltinPure {
+			continue
+		}
+		pure++
+		v, ok := byName[b.FuncName()]
+		if !ok {
+			t.Errorf("builtin %s: no function %s", b.Name, b.FuncName())
+			continue
+		}
+		if n := v.Type().NumIn(); n != b.Arity {
+			t.Errorf("%s takes %d arguments, builtin %s has arity %d", b.FuncName(), n, b.Name, b.Arity)
+		}
+	}
+	if pure != len(funcs) {
+		t.Errorf("%d pure builtins, %d functions", pure, len(funcs))
 	}
 }
 

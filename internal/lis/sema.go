@@ -2,7 +2,6 @@ package lis
 
 import (
 	"fmt"
-	"math/bits"
 
 	"singlespec/internal/mach"
 )
@@ -935,179 +934,4 @@ func (a *analyzer) evalConst(e Expr) (uint64, bool) {
 	}
 	a.errorf(e.Position(), "unsupported const expression")
 	return 0, false
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// EvalUnaryOp applies a unary operator with the action language's
-// semantics.
-func EvalUnaryOp(op Op, x uint64) uint64 {
-	switch op {
-	case OpNeg:
-		return -x
-	case OpInv:
-		return ^x
-	default: // OpNot
-		return b2u(x == 0)
-	}
-}
-
-// EvalBinaryOp applies a binary operator with the action language's
-// unsigned 64-bit semantics (shifts >= 64 yield 0; division by zero yields
-// 0). It is the single definition of operator semantics, shared by the
-// constant folder and the compiler (internal/core).
-func EvalBinaryOp(op Op, l, r uint64) uint64 {
-	switch op {
-	case OpAdd:
-		return l + r
-	case OpSub:
-		return l - r
-	case OpMul:
-		return l * r
-	case OpDiv:
-		if r == 0 {
-			return 0
-		}
-		return l / r
-	case OpRem:
-		if r == 0 {
-			return 0
-		}
-		return l % r
-	case OpAnd:
-		return l & r
-	case OpOr:
-		return l | r
-	case OpXor:
-		return l ^ r
-	case OpShl:
-		if r >= 64 {
-			return 0
-		}
-		return l << r
-	case OpShr:
-		if r >= 64 {
-			return 0
-		}
-		return l >> r
-	case OpEq:
-		return b2u(l == r)
-	case OpNe:
-		return b2u(l != r)
-	case OpLt:
-		return b2u(l < r)
-	case OpLe:
-		return b2u(l <= r)
-	case OpGt:
-		return b2u(l > r)
-	case OpGe:
-		return b2u(l >= r)
-	case OpLand:
-		return b2u(l != 0 && r != 0)
-	case OpLor:
-		return b2u(l != 0 || r != 0)
-	}
-	return 0
-}
-
-// EvalPureBuiltin evaluates a pure builtin on concrete arguments; it is the
-// single definition of builtin semantics, shared by the constant folder and
-// the compiler (internal/core).
-func EvalPureBuiltin(b *Builtin, a []uint64) uint64 {
-	switch b.Name {
-	case "sext8":
-		return uint64(int64(int8(a[0])))
-	case "sext16":
-		return uint64(int64(int16(a[0])))
-	case "sext32":
-		return uint64(int64(int32(a[0])))
-	case "sext":
-		w := a[1]
-		if w == 0 || w >= 64 {
-			return a[0]
-		}
-		x := a[0] & (1<<w - 1)
-		if x&(1<<(w-1)) != 0 {
-			x |= ^uint64(0) << w
-		}
-		return x
-	case "trunc":
-		w := a[1]
-		if w >= 64 {
-			return a[0]
-		}
-		return a[0] & (1<<w - 1)
-	case "bits":
-		hi, lo := a[1], a[2]
-		if hi >= 64 || lo > hi {
-			return 0
-		}
-		return (a[0] >> lo) & (1<<(hi-lo+1) - 1)
-	case "asr":
-		s := a[1]
-		if s >= 64 {
-			s = 63
-		}
-		return uint64(int64(a[0]) >> s)
-	case "lts":
-		return b2u(int64(a[0]) < int64(a[1]))
-	case "les":
-		return b2u(int64(a[0]) <= int64(a[1]))
-	case "gts":
-		return b2u(int64(a[0]) > int64(a[1]))
-	case "ges":
-		return b2u(int64(a[0]) >= int64(a[1]))
-	case "sdiv":
-		if a[1] == 0 {
-			return 0
-		}
-		if int64(a[0]) == -1<<63 && int64(a[1]) == -1 {
-			return a[0] // wrap, like hardware
-		}
-		return uint64(int64(a[0]) / int64(a[1]))
-	case "srem":
-		if a[1] == 0 {
-			return 0
-		}
-		if int64(a[0]) == -1<<63 && int64(a[1]) == -1 {
-			return 0
-		}
-		return uint64(int64(a[0]) % int64(a[1]))
-	case "mulhu":
-		hi, _ := bits.Mul64(a[0], a[1])
-		return hi
-	case "mulhs":
-		hi, _ := bits.Mul64(a[0], a[1])
-		if int64(a[0]) < 0 {
-			hi -= a[1]
-		}
-		if int64(a[1]) < 0 {
-			hi -= a[0]
-		}
-		return hi
-	case "rotl32":
-		return uint64(bits.RotateLeft32(uint32(a[0]), int(a[1]&31)))
-	case "rotr32":
-		return uint64(bits.RotateLeft32(uint32(a[0]), -int(a[1]&31)))
-	case "rotl64":
-		return bits.RotateLeft64(a[0], int(a[1]&63))
-	case "rotr64":
-		return bits.RotateLeft64(a[0], -int(a[1]&63))
-	case "clz32":
-		return uint64(bits.LeadingZeros32(uint32(a[0])))
-	case "clz64":
-		return uint64(bits.LeadingZeros64(a[0]))
-	case "ctz32":
-		return uint64(bits.TrailingZeros32(uint32(a[0])))
-	case "ctz64":
-		return uint64(bits.TrailingZeros64(a[0]))
-	case "popcnt":
-		return uint64(bits.OnesCount64(a[0]))
-	}
-	panic("lis: EvalPureBuiltin: not a pure builtin: " + b.Name)
 }
